@@ -6,8 +6,6 @@
 
 #include "common/status.h"
 #include "core/groupsa_model.h"
-#include "core/item_index.h"
-#include "core/quantized.h"
 #include "data/interaction_matrix.h"
 
 namespace groupsa::core {
@@ -17,29 +15,14 @@ namespace groupsa::core {
 // blended user score (Eq. 23) and average — a time/accuracy trade-off for
 // large groups. The member embeddings already carry group-mate interests
 // through joint training, which is why this stays competitive.
+//
+// The member average is a query kind of the model's InferenceEngine and
+// retrieves under the engine's modes: IVF probes and the int8 shortlist rank
+// the members' averaged centroid and scan scores.
 class FastGroupRecommender {
  public:
   // `model` must outlive the recommender.
   explicit FastGroupRecommender(GroupSaModel* model) : model_(model) {}
-
-  // Retrieval mode for RecommendForMembers. Under kIvf the coarse stage
-  // averages the members' exact centroid pseudo-item scores (the same
-  // averaging the fine stage applies to real items), probes the engine's
-  // item index, and re-ranks the candidate union exactly — so nprobe >=
-  // nlist is bit-identical to kExact here too. Setup-time call: must not
-  // race with in-flight recommendations.
-  void set_topk_mode(TopKMode mode) { mode_ = mode; }
-  TopKMode topk_mode() const { return mode_; }
-
-  // Candidate-scan precision for RecommendForMembers. Under kInt8 the
-  // per-member candidate scan runs through the engine's int8 path (quantized
-  // member representations, int8 item dots, averaged like the exact scores),
-  // the shortlist of the engine's Int8Config::rerank_k best averaged scans
-  // is re-ranked through the exact FP32 member scores, and both modes
-  // compose: with kIvf the scan covers the IVF candidate union instead of
-  // the catalog. Setup-time call, like set_topk_mode.
-  void set_score_mode(ScoreMode mode) { score_ = mode; }
-  ScoreMode score_mode() const { return score_; }
 
   // Average-of-member-scores for an ad-hoc member list.
   std::vector<double> ScoreItemsForMembers(
@@ -64,11 +47,7 @@ class FastGroupRecommender {
       std::vector<std::pair<data::ItemId, double>>* out) const;
 
  private:
-  Status ValidateMembers(const std::vector<data::UserId>& members) const;
-
   GroupSaModel* model_;
-  TopKMode mode_ = TopKMode::kExact;
-  ScoreMode score_ = ScoreMode::kExact;
 };
 
 }  // namespace groupsa::core

@@ -164,12 +164,117 @@ struct Workspace {
   Matrix t1, t2;                  // group tower ping-pong
   Matrix r1a, r1b, r2a, r2b;      // user tower ping-pong pairs
   Matrix x0;                      // int8 path: linearization point
-  std::vector<int8_t> q1, q2;     // int8 path: quantized scan directions
+  std::vector<int8_t> q;          // int8 path: quantized scan direction
   std::vector<int32_t> i8dots;    // int8 path: raw scan accumulators
 };
 Workspace& GetWorkspace() {
   static thread_local Workspace ws;
   return ws;
+}
+
+// Gradient of the MLP output (1 x 1) with respect to its input row, taken
+// at x0 with every activation derivative evaluated there (the frozen-mask
+// linearization). Returns 1 x in_dim.
+Matrix TowerInputGradient(const nn::Mlp& mlp, const Matrix& x0) {
+  const int num_layers = mlp.num_layers();
+  // Forward, recording each layer's pre-activation: the backward pass below
+  // evaluates every activation derivative there (the frozen-mask
+  // linearization — for ReLU towers this is exactly "gradient with the ReLU
+  // masks frozen at x0").
+  std::vector<Matrix> pre(static_cast<size_t>(num_layers));
+  Matrix x = x0;
+  for (int i = 0; i < num_layers; ++i) {
+    Matrix y;
+    tensor::Gemm(x, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
+                 /*transpose_b=*/false, 1.0f, &y);
+    if (mlp.layer(i).bias() != nullptr)
+      tensor::AddRowBroadcastInPlace(&y, mlp.layer(i).bias()->value());
+    pre[static_cast<size_t>(i)] = y;
+    ActivateInPlace(&y, i + 1 == num_layers ? mlp.output_activation()
+                                            : mlp.hidden_activation());
+    x = y;
+  }
+  // Backward: v <- (v . act'(pre_i)) * W_i^T, starting from d(out)/d(out)=1.
+  Matrix v(1, 1);
+  v.At(0, 0) = 1.0f;
+  for (int i = num_layers - 1; i >= 0; --i) {
+    const nn::Activation act = i + 1 == num_layers ? mlp.output_activation()
+                                                   : mlp.hidden_activation();
+    const Matrix& p = pre[static_cast<size_t>(i)];
+    for (int j = 0; j < v.cols(); ++j) v.At(0, j) *= ActDeriv(act, p.At(0, j));
+    Matrix prev;
+    tensor::Gemm(v, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
+                 /*transpose_b=*/true, 1.0f, &prev);
+    v = prev;
+  }
+  return v;  // 1 x in_dim
+}
+
+// One linearized tower direction of the int8 scan: the item half of the
+// tower's input gradient at [left (+) ref], quantized per request and dotted
+// against each candidate's int8 row. Writes (or, with `accumulate`, adds)
+// weight * scale_q * scale_t * dot_t into (*out)[t].
+void ScanDirection(const nn::Mlp& tower, const Matrix& left, const Matrix& ref,
+                   const QuantizedRows& table, double weight,
+                   const std::vector<data::ItemId>& items, bool accumulate,
+                   std::vector<double>* out) {
+  Workspace& ws = GetWorkspace();
+  const int d = table.cols;
+  tensor::ConcatColsInto({&left, &ref}, &ws.x0);
+  const Matrix g = TowerInputGradient(tower, ws.x0);
+  ws.q.resize(static_cast<size_t>(d));
+  const float s = QuantizeRow(g.RowPtr(0) + d, d, ws.q.data());
+  ws.i8dots.resize(items.size());
+  tensor::ActiveBackend().dot_i8_rows(ws.q.data(), table.values.data(),
+                                      items.data(),
+                                      static_cast<int>(items.size()), d,
+                                      ws.i8dots.data());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const double term = weight * static_cast<double>(s) *
+                        static_cast<double>(table.scale(items[i])) *
+                        static_cast<double>(ws.i8dots[i]);
+    (*out)[i] = accumulate ? (*out)[i] + term : term;
+  }
+}
+
+// Row-quantizes each part of a representation (an empty part stays empty).
+template <typename Rep>
+std::vector<QuantizedRows> QuantizeRep(Rep rep) {
+  std::vector<QuantizedRows> q;
+  for (const Matrix* part : rep.Parts()) q.push_back(QuantizeRows(*part));
+  return q;
+}
+
+template <typename Rep>
+Rep DequantizeRep(const std::vector<QuantizedRows>& q) {
+  Rep rep;
+  const std::vector<Matrix*> parts = rep.Parts();
+  for (size_t i = 0; i < parts.size(); ++i)
+    if (!q[i].empty()) *parts[i] = q[i].Dequantize();
+  return rep;
+}
+
+// One user's scores are its rep's. Several users (the fast path's members)
+// sum their rows in member order and divide by n: bit for bit the average
+// a caller would take over per-member ScoreItemsForUser results.
+template <typename Reps, typename RepScores>
+std::vector<double> CombineUsers(const Reps& users, size_t n,
+                                 const RepScores& rep_scores) {
+  if (users.size() == 1) return rep_scores(users.front());
+  std::vector<double> sum(n, 0.0);
+  for (const auto& rep : users) {
+    const std::vector<double> scores = rep_scores(rep);
+    for (size_t i = 0; i < n; ++i) sum[i] += scores[i];
+  }
+  for (double& v : sum) v /= static_cast<double>(users.size());
+  return sum;
+}
+
+// The one id range check behind every request validation.
+Status CheckId(const char* kind, int id, int bound) {
+  if (id >= 0 && id < bound) return Status::Ok();
+  return Status::Error(
+      StrFormat("%s id %d out of range [0, %d)", kind, id, bound));
 }
 
 }  // namespace
@@ -195,13 +300,7 @@ uint64_t InferenceEngine::Revalidate() {
   }
   std::unique_lock<DebugSharedMutex> lock(mu_);
   if (cache_version_ != version) {
-    user_cache_.clear();
-    group_cache_.clear();
-    user_q_cache_.clear();
-    group_q_cache_.clear();
-    split_.reset();
-    ivf_.reset();
-    quant_.reset();
+    DropCaches();
     cache_version_ = version;
   }
   return version;
@@ -209,13 +308,17 @@ uint64_t InferenceEngine::Revalidate() {
 
 void InferenceEngine::InvalidateAll() {
   std::unique_lock<DebugSharedMutex> lock(mu_);
+  DropCaches();
+}
+
+void InferenceEngine::DropCaches() {
   user_cache_.clear();
   group_cache_.clear();
   user_q_cache_.clear();
   group_q_cache_.clear();
-  split_.reset();
-  ivf_.reset();
-  quant_.reset();
+  split_.Reset();
+  ivf_.Reset();
+  quant_.Reset();
 }
 
 void InferenceEngine::set_topk_mode(TopKMode mode) {
@@ -231,7 +334,7 @@ TopKMode InferenceEngine::topk_mode() const {
 void InferenceEngine::set_index_config(const ItemIndexConfig& config) {
   std::unique_lock<DebugSharedMutex> lock(mu_);
   index_config_ = config;
-  ivf_.reset();
+  ivf_.Reset();
 }
 
 ItemIndexConfig InferenceEngine::index_config() const {
@@ -262,10 +365,8 @@ size_t InferenceEngine::cached_quant_groups() const {
 size_t InferenceEngine::QuantUserCacheBytes() const {
   std::shared_lock<DebugSharedMutex> lock(mu_);
   size_t total = 0;
-  for (const auto& entry : user_q_cache_) {
-    total += entry.second.embedding.MemoryBytes() +
-             entry.second.latent.MemoryBytes();
-  }
+  for (const auto& entry : user_q_cache_)
+    for (const QuantizedRows& part : entry.second) total += part.MemoryBytes();
   return total;
 }
 
@@ -280,10 +381,9 @@ size_t InferenceEngine::Fp32UserCacheBytes() const {
   // The quantized cache's reps at 4 bytes per element: what the same users
   // would cost had they been cached in FP32 (int8 mode leaves user_cache_
   // cold, so this term is the denominator-free half of the memory ratio).
-  for (const auto& entry : user_q_cache_) {
-    total += sizeof(float) * (entry.second.embedding.values.size() +
-                              entry.second.latent.values.size());
-  }
+  for (const auto& entry : user_q_cache_)
+    for (const QuantizedRows& part : entry.second)
+      total += sizeof(float) * part.values.size();
   return total;
 }
 
@@ -351,15 +451,8 @@ InferenceEngine::SplitWeights InferenceEngine::BuildSplitWeights() const {
 
 std::shared_ptr<const InferenceEngine::SplitWeights>
 InferenceEngine::GetSplitWeights() {
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    if (split_ != nullptr) return split_;
-  }
-  auto sw = std::make_shared<const SplitWeights>(BuildSplitWeights());
-  std::unique_lock<DebugSharedMutex> lock(mu_);
-  // Concurrent misses build identical splits; the first insert wins.
-  if (split_ == nullptr) split_ = std::move(sw);
-  return split_;
+  // Every caller has revalidated the parameter version just before.
+  return split_.GetOrBuild([this] { return BuildSplitWeights(); });
 }
 
 InferenceEngine::IvfState InferenceEngine::BuildIvfState(
@@ -385,19 +478,8 @@ InferenceEngine::IvfState InferenceEngine::BuildIvfState(
 std::shared_ptr<const InferenceEngine::IvfState>
 InferenceEngine::GetIvfState() {
   Revalidate();
-  ItemIndexConfig config;
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    if (ivf_ != nullptr) return ivf_;
-    config = index_config_;
-  }
-  auto sw = GetSplitWeights();
-  auto state =
-      std::make_shared<const IvfState>(BuildIvfState(config, *sw));
-  std::unique_lock<DebugSharedMutex> lock(mu_);
-  // Concurrent misses build identical states; the first insert wins.
-  if (ivf_ == nullptr) ivf_ = std::move(state);
-  return ivf_;
+  return ivf_.GetOrBuild(
+      [this] { return BuildIvfState(index_config(), *GetSplitWeights()); });
 }
 
 std::shared_ptr<const ItemIndex> InferenceEngine::GetOrBuildIndex() {
@@ -405,65 +487,15 @@ std::shared_ptr<const ItemIndex> InferenceEngine::GetOrBuildIndex() {
   return std::shared_ptr<const ItemIndex>(state, &state->index);
 }
 
-std::vector<double> InferenceEngine::ScoreCentroidsForUser(
-    data::UserId user) {
-  const UserRep rep = GetUserRep(user);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchUser(
-      rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-}
-
 std::vector<double> InferenceEngine::ScoreCentroidsForGroup(
     data::GroupId group) {
-  const GroupRep rep = GetGroupRep(group);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                         ivf->centroid_table, ivf->centroid_prefix);
+  return CentroidScores(GroupQuery(group, /*quantized=*/false),
+                        *GetIvfState());
 }
 
 std::vector<double> InferenceEngine::ScoreCentroidsForMembers(
     const std::vector<data::UserId>& members) {
-  Revalidate();
-  const GroupRep rep = BuildMembersRep(members);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                         ivf->centroid_table, ivf->centroid_prefix);
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::IvfTopKUser(
-    const UserRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  const ItemIndex& index = ivf->index;
-  if (index.nlist() == 0) return {};
-  const std::vector<double> coarse = ScoreBatchUser(
-      rep, AllItems(index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-  const std::vector<data::ItemId> candidates =
-      index.Candidates(index.SelectProbes(coarse, /*nprobe=*/0));
-  const std::vector<double> scores = ScoreBatchUser(rep, candidates, *sw);
-  return TopKItems(candidates, scores, k, skip);
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::IvfTopKGroup(
-    const GroupRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  const ItemIndex& index = ivf->index;
-  if (index.nlist() == 0) return {};
-  const std::vector<double> coarse =
-      ScoreBatchGroup(rep, AllItems(index.nlist()), *sw, ivf->centroid_table,
-                      ivf->centroid_prefix);
-  const std::vector<data::ItemId> candidates =
-      index.Candidates(index.SelectProbes(coarse, /*nprobe=*/0));
-  const std::vector<double> scores = ScoreBatchGroup(rep, candidates, *sw);
-  return TopKItems(candidates, scores, k, skip);
+  return CentroidScores(MembersQuery(members), *GetIvfState());
 }
 
 // ---------------- int8 internals (ScoreMode::kInt8) ----------------------
@@ -488,162 +520,34 @@ InferenceEngine::QuantState InferenceEngine::BuildQuantState() const {
 std::shared_ptr<const InferenceEngine::QuantState>
 InferenceEngine::GetQuantState() {
   Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    if (quant_ != nullptr) return quant_;
-  }
-  auto state = std::make_shared<const QuantState>(BuildQuantState());
-  std::unique_lock<DebugSharedMutex> lock(mu_);
-  // Concurrent misses build identical states; the first insert wins.
-  if (quant_ == nullptr) quant_ = std::move(state);
-  return quant_;
+  return quant_.GetOrBuild([this] { return BuildQuantState(); });
 }
 
-InferenceEngine::QuantUserRep InferenceEngine::GetQuantUserRep(
-    data::UserId user) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = user_q_cache_.find(user);
-    if (it != user_q_cache_.end()) return it->second;
-  }
-  const UserRep fp = BuildUserRep(user);
-  QuantUserRep rep;
-  rep.embedding = QuantizeRows(fp.embedding);
-  if (!fp.latent.empty()) rep.latent = QuantizeRows(fp.latent);
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    // Concurrent misses build identical reps; the first insert wins.
-    user_q_cache_.emplace(user, rep);
-  }
-  return rep;
-}
-
-InferenceEngine::QuantGroupRep InferenceEngine::GetQuantGroupRep(
-    data::GroupId group) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = group_q_cache_.find(group);
-    if (it != group_q_cache_.end()) return it->second;
-  }
-  const GroupRep fp =
-      BuildMembersRep(model_->model_data().groups->Members(group));
-  QuantGroupRep rep;
-  rep.member_reps = QuantizeRows(fp.member_reps);
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    group_q_cache_.emplace(group, rep);
-  }
-  return rep;
-}
-
-InferenceEngine::UserRep InferenceEngine::DequantizeUserRep(
-    const QuantUserRep& q) {
-  UserRep rep;
-  rep.embedding = q.embedding.Dequantize();
-  if (!q.latent.empty()) rep.latent = q.latent.Dequantize();
-  return rep;
-}
-
-InferenceEngine::GroupRep InferenceEngine::DequantizeGroupRep(
-    const QuantGroupRep& q) {
-  GroupRep rep;
-  rep.member_reps = q.member_reps.Dequantize();
-  return rep;
-}
-
-tensor::Matrix InferenceEngine::TowerInputGradient(const nn::Mlp& mlp,
-                                                   const tensor::Matrix& x0) {
-  const int num_layers = mlp.num_layers();
-  // Forward, recording each layer's pre-activation: the backward pass below
-  // evaluates every activation derivative there (the frozen-mask
-  // linearization — for ReLU towers this is exactly "gradient with the ReLU
-  // masks frozen at x0").
-  std::vector<Matrix> pre(static_cast<size_t>(num_layers));
-  Matrix x = x0;
-  for (int i = 0; i < num_layers; ++i) {
-    Matrix y;
-    tensor::Gemm(x, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
-                 /*transpose_b=*/false, 1.0f, &y);
-    if (mlp.layer(i).bias() != nullptr)
-      tensor::AddRowBroadcastInPlace(&y, mlp.layer(i).bias()->value());
-    pre[static_cast<size_t>(i)] = y;
-    ActivateInPlace(&y, i + 1 == num_layers ? mlp.output_activation()
-                                            : mlp.hidden_activation());
-    x = y;
-  }
-  // Backward: v <- (v . act'(pre_i)) * W_i^T, starting from d(out)/d(out)=1.
-  Matrix v(1, 1);
-  v.At(0, 0) = 1.0f;
-  for (int i = num_layers - 1; i >= 0; --i) {
-    const nn::Activation act = i + 1 == num_layers ? mlp.output_activation()
-                                                   : mlp.hidden_activation();
-    const Matrix& p = pre[static_cast<size_t>(i)];
-    for (int j = 0; j < v.cols(); ++j) v.At(0, j) *= ActDeriv(act, p.At(0, j));
-    Matrix prev;
-    tensor::Gemm(v, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
-                 /*transpose_b=*/true, 1.0f, &prev);
-    v = prev;
-  }
-  return v;  // 1 x in_dim
-}
-
-void InferenceEngine::ApproxScoresUser(const UserRep& rep,
-                                       const QuantState& qs,
-                                       const std::vector<data::ItemId>& items,
-                                       std::vector<double>* out) const {
-  out->assign(items.size(), 0.0);
-  const int n = static_cast<int>(items.size());
-  if (n == 0 || qs.items.empty()) return;
-  const int d = qs.items.cols;
-  Workspace& ws = GetWorkspace();
-  const tensor::KernelBackend& kb = tensor::ActiveBackend();
+std::vector<double> InferenceEngine::ApproxScoresUser(
+    const UserRep& rep, const QuantState& qs,
+    const std::vector<data::ItemId>& items) const {
+  std::vector<double> out(items.size(), 0.0);
+  if (items.empty() || qs.items.empty()) return out;
   const float blend = model_->config().effective_user_blend();
   const bool blended = !rep.latent.empty() && blend > 0.0f;
-
-  // r^R1 direction: d(tower)/d(emb_t) at [emb_j (+) ref_item]; the item half
-  // is cols [d, 2d) of the input gradient.
-  tensor::ConcatColsInto({&rep.embedding, &qs.ref_item}, &ws.x0);
-  const Matrix g1 = TowerInputGradient(model_->user_tower().tower(), ws.x0);
-  ws.q1.resize(static_cast<size_t>(d));
-  const float s1 = QuantizeRow(g1.RowPtr(0) + d, d, ws.q1.data());
-  ws.i8dots.resize(items.size());
-  kb.dot_i8_rows(ws.q1.data(), qs.items.values.data(), items.data(), n, d,
-                 ws.i8dots.data());
-  const double w1 = blended ? 1.0 - static_cast<double>(blend) : 1.0;
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] =
-        w1 * static_cast<double>(s1) *
-        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
-  }
-  if (!blended) return;
-
+  // r^R1 direction: d(tower)/d(emb_t) at [emb_j (+) ref_item].
+  ScanDirection(model_->user_tower().tower(), rep.embedding, qs.ref_item,
+                qs.items, blended ? 1.0 - static_cast<double>(blend) : 1.0,
+                items, /*accumulate=*/false, &out);
   // r^R2 direction over the latent table (items fall back when absent).
-  const QuantizedRows& lat = qs.latents.empty() ? qs.items : qs.latents;
-  tensor::ConcatColsInto({&rep.latent, &qs.ref_latent}, &ws.x0);
-  const Matrix g2 = TowerInputGradient(model_->latent_tower().tower(), ws.x0);
-  ws.q2.resize(static_cast<size_t>(d));
-  const float s2 = QuantizeRow(g2.RowPtr(0) + d, d, ws.q2.data());
-  kb.dot_i8_rows(ws.q2.data(), lat.values.data(), items.data(), n, d,
-                 ws.i8dots.data());
-  const double w2 = static_cast<double>(blend);
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] +=
-        w2 * static_cast<double>(s2) *
-        static_cast<double>(lat.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
+  if (blended) {
+    ScanDirection(model_->latent_tower().tower(), rep.latent, qs.ref_latent,
+                  qs.latents.empty() ? qs.items : qs.latents,
+                  static_cast<double>(blend), items, /*accumulate=*/true, &out);
   }
+  return out;
 }
 
-void InferenceEngine::ApproxScoresGroup(const GroupRep& rep,
-                                        const QuantState& qs,
-                                        const std::vector<data::ItemId>& items,
-                                        std::vector<double>* out) const {
-  out->assign(items.size(), 0.0);
-  const int n = static_cast<int>(items.size());
-  if (n == 0 || qs.items.empty()) return;
+std::vector<double> InferenceEngine::ApproxScoresGroup(
+    const GroupRep& rep, const QuantState& qs,
+    const std::vector<data::ItemId>& items) const {
+  std::vector<double> out(items.size(), 0.0);
+  if (items.empty() || qs.items.empty()) return out;
   const int d = qs.items.cols;
   Workspace& ws = GetWorkspace();
   const Matrix& reps = rep.member_reps;  // l x d
@@ -686,135 +590,153 @@ void InferenceEngine::ApproxScoresGroup(const GroupRep& rep,
   ActivateInPlace(&ws.group_rep, nn::Activation::kRelu);
 
   // r^G direction: d(tower)/d(emb_t) at [x^G(ref) (+) ref_item].
-  tensor::ConcatColsInto({&ws.group_rep, &qs.ref_item}, &ws.x0);
-  const Matrix g = TowerInputGradient(model_->group_tower().tower(), ws.x0);
-  ws.q1.resize(static_cast<size_t>(d));
-  const float s = QuantizeRow(g.RowPtr(0) + d, d, ws.q1.data());
-  ws.i8dots.resize(items.size());
-  tensor::ActiveBackend().dot_i8_rows(ws.q1.data(), qs.items.values.data(),
-                                      items.data(), n, d, ws.i8dots.data());
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] =
-        static_cast<double>(s) *
-        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
-  }
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::Int8TopKUser(
-    const UserRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto qs = GetQuantState();
-  std::vector<data::ItemId> candidates;
-  if (topk_mode() == TopKMode::kIvf) {
-    const auto ivf = GetIvfState();
-    if (ivf->index.nlist() == 0) return {};
-    const std::vector<double> coarse = ScoreBatchUser(
-        rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-        ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-    candidates =
-        ivf->index.Candidates(ivf->index.SelectProbes(coarse, /*nprobe=*/0));
-  } else {
-    candidates = AllItems(model_->num_items());
-  }
-  std::vector<double> approx;
-  ApproxScoresUser(rep, *qs, candidates, &approx);
-  const int rerank = std::max(k, int8_config().rerank_k);
-  const std::vector<std::pair<data::ItemId, double>> shortlist =
-      TopKItems(candidates, approx, rerank, skip);
-  std::vector<data::ItemId> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& entry : shortlist) ids.push_back(entry.first);
-  const std::vector<double> exact = ScoreBatchUser(rep, ids, *sw);
-  return TopKItems(ids, exact, k, nullptr);  // shortlist already skip-filtered
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::Int8TopKGroup(
-    const GroupRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto qs = GetQuantState();
-  std::vector<data::ItemId> candidates;
-  if (topk_mode() == TopKMode::kIvf) {
-    const auto ivf = GetIvfState();
-    if (ivf->index.nlist() == 0) return {};
-    const std::vector<double> coarse =
-        ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                        ivf->centroid_table, ivf->centroid_prefix);
-    candidates =
-        ivf->index.Candidates(ivf->index.SelectProbes(coarse, /*nprobe=*/0));
-  } else {
-    candidates = AllItems(model_->num_items());
-  }
-  std::vector<double> approx;
-  ApproxScoresGroup(rep, *qs, candidates, &approx);
-  const int rerank = std::max(k, int8_config().rerank_k);
-  const std::vector<std::pair<data::ItemId, double>> shortlist =
-      TopKItems(candidates, approx, rerank, skip);
-  std::vector<data::ItemId> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& entry : shortlist) ids.push_back(entry.first);
-  const std::vector<double> exact = ScoreBatchGroup(rep, ids, *sw);
-  return TopKItems(ids, exact, k, nullptr);  // shortlist already skip-filtered
+  ScanDirection(model_->group_tower().tower(), ws.group_rep, qs.ref_item,
+                qs.items, 1.0, items, /*accumulate=*/false, &out);
+  return out;
 }
 
 std::vector<double> InferenceEngine::ApproxScoreItemsForUser(
     data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
-  const auto qs = GetQuantState();
-  std::vector<double> out;
-  ApproxScoresUser(rep, *qs, items, &out);
-  return out;
+  return Scan(UsersQuery({user}, /*quantized=*/true), *GetQuantState(),
+              items);
 }
 
 std::vector<double> InferenceEngine::QuantScoreItemsForUser(
     data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
-  return ScoreBatchUser(rep, items, *GetSplitWeights());
+  return ScoreCatalog(UsersQuery({user}, /*quantized=*/true), items);
 }
 
 std::vector<double> InferenceEngine::QuantScoreCentroidsForUser(
     data::UserId user) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchUser(
-      rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
+  return CentroidScores(UsersQuery({user}, /*quantized=*/true),
+                        *GetIvfState());
 }
 
-InferenceEngine::UserRep InferenceEngine::GetUserRep(data::UserId user) {
+// ---------------- The retrieval pipeline -----------------------------------
+
+template <typename Rep, typename Key, typename Build>
+Rep InferenceEngine::CachedRep(std::unordered_map<Key, Rep>* fp32,
+                               std::unordered_map<Key, QuantRep>* int8,
+                               Key key, bool quantized, const Build& build) {
   Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = user_cache_.find(user);
-    if (it != user_cache_.end()) return it->second;
-  }
-  UserRep rep = BuildUserRep(user);
-  {
+  // Concurrent misses build identical entries (the forward is deterministic
+  // and pure); the first insert wins. Entries are copied out: map storage
+  // may move under concurrent inserts.
+  const auto lookup_or_build = [&](auto* cache, const auto& make) {
+    {
+      std::shared_lock<DebugSharedMutex> lock(mu_);
+      auto it = cache->find(key);
+      if (it != cache->end()) return it->second;
+    }
+    auto entry = make();
     std::unique_lock<DebugSharedMutex> lock(mu_);
-    // Concurrent misses build identical reps (the forward is deterministic
-    // and pure); the first insert wins and the rest are dropped.
-    user_cache_.emplace(user, rep);
-  }
-  return rep;
+    cache->emplace(key, entry);
+    return entry;
+  };
+  if (!quantized) return lookup_or_build(fp32, build);
+  return DequantizeRep<Rep>(
+      lookup_or_build(int8, [&] { return QuantizeRep(build()); }));
 }
 
-InferenceEngine::GroupRep InferenceEngine::GetGroupRep(data::GroupId group) {
+InferenceEngine::Query InferenceEngine::UsersQuery(
+    const std::vector<data::UserId>& users, bool quantized) {
+  GROUPSA_CHECK(!users.empty(), "a user query needs at least one user");
+  Query q;
+  for (data::UserId user : users) {
+    q.users.push_back(CachedRep(&user_cache_, &user_q_cache_, user, quantized,
+                                [&] { return BuildUserRep(user); }));
+  }
+  q.sw = GetSplitWeights();
+  return q;
+}
+
+InferenceEngine::Query InferenceEngine::GroupQuery(data::GroupId group,
+                                                   bool quantized) {
+  Query q;
+  q.group = CachedRep(&group_cache_, &group_q_cache_, group, quantized, [&] {
+    return BuildMembersRep(model_->model_data().groups->Members(group));
+  });
+  q.sw = GetSplitWeights();
+  return q;
+}
+
+InferenceEngine::Query InferenceEngine::MembersQuery(
+    const std::vector<data::UserId>& members) {
   Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = group_cache_.find(group);
-    if (it != group_cache_.end()) return it->second;
+  Query q;
+  q.group = BuildMembersRep(members);
+  q.sw = GetSplitWeights();
+  return q;
+}
+
+std::vector<double> InferenceEngine::ScoreRows(
+    const Query& q, const Side& side,
+    const std::vector<data::ItemId>& ids) const {
+  if (q.users.empty()) return ScoreBatchGroup(q.group, ids, *q.sw, side);
+  return CombineUsers(q.users, ids.size(), [&](const UserRep& r) {
+    return ScoreBatchUser(r, ids, *q.sw, side);
+  });
+}
+
+std::vector<double> InferenceEngine::ScoreCatalog(
+    const Query& q, const std::vector<data::ItemId>& ids) const {
+  const Side catalog = {&model_->item_embedding().table()->value(),
+                        ModelLatentTable(), &q.sw->attn_item_prefix};
+  return ScoreRows(q, catalog, ids);
+}
+
+std::vector<double> InferenceEngine::CentroidScores(
+    const Query& q, const IvfState& ivf) const {
+  const Side centroids = {
+      &ivf.centroid_table,
+      ivf.centroid_latents.empty() ? nullptr : &ivf.centroid_latents,
+      &ivf.centroid_prefix};
+  return ScoreRows(q, centroids, AllItems(ivf.index.nlist()));
+}
+
+std::vector<double> InferenceEngine::Scan(
+    const Query& q, const QuantState& qs,
+    const std::vector<data::ItemId>& ids) const {
+  if (q.users.empty()) return ApproxScoresGroup(q.group, qs, ids);
+  return CombineUsers(q.users, ids.size(), [&](const UserRep& r) {
+    return ApproxScoresUser(r, qs, ids);
+  });
+}
+
+std::vector<std::pair<data::ItemId, double>> InferenceEngine::Retrieve(
+    const Query& q, int k, std::function<bool(data::ItemId)> skip) {
+  std::vector<data::ItemId> candidates;
+  if (topk_mode() == TopKMode::kIvf) {
+    const auto ivf = GetIvfState();
+    const ItemIndex& index = ivf->index;
+    if (index.nlist() == 0) return {};
+    candidates = index.Candidates(
+        index.SelectProbes(CentroidScores(q, *ivf), /*nprobe=*/0));
+  } else {
+    candidates = AllItems(model_->num_items());
   }
-  GroupRep rep =
-      BuildMembersRep(model_->model_data().groups->Members(group));
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    group_cache_.emplace(group, rep);
+  if (score_mode() == ScoreMode::kInt8) {
+    const std::vector<double> approx = Scan(q, *GetQuantState(), candidates);
+    const int rerank = std::max(k, int8_config().rerank_k);
+    const std::vector<std::pair<data::ItemId, double>> shortlist =
+        TopKItems(candidates, approx, rerank, skip);
+    candidates.clear();
+    for (const auto& entry : shortlist) candidates.push_back(entry.first);
+    skip = nullptr;  // the shortlist is filtered already
   }
-  return rep;
+  const std::vector<double> exact = ScoreCatalog(q, candidates);
+  return TopKItems(candidates, exact, k, skip);
+}
+
+std::function<bool(data::ItemId)> InferenceEngine::AnyMemberSaw(
+    const std::vector<data::UserId>& members,
+    const data::InteractionMatrix* exclude) {
+  if (exclude == nullptr) return nullptr;
+  return [&members, exclude](data::ItemId item) {
+    for (data::UserId member : members)
+      if (exclude->Has(member, item)) return true;
+    return false;
+  };
 }
 
 const tensor::Matrix* InferenceEngine::ModelLatentTable() const {
@@ -825,22 +747,13 @@ const tensor::Matrix* InferenceEngine::ModelLatentTable() const {
 
 std::vector<double> InferenceEngine::ScoreBatchUser(
     const UserRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw) const {
-  return ScoreBatchUser(rep, items, sw,
-                        model_->item_embedding().table()->value(),
-                        ModelLatentTable());
-}
-
-std::vector<double> InferenceEngine::ScoreBatchUser(
-    const UserRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw, const tensor::Matrix& table,
-    const tensor::Matrix* latent_table) const {
+    const SplitWeights& sw, const Side& side) const {
   std::vector<double> scores;
   scores.reserve(items.size());
   if (items.empty()) return scores;
   Workspace& ws = GetWorkspace();
 
-  const Matrix& item_table = table;
+  const Matrix& item_table = *side.items;
   const float blend = model_->config().effective_user_blend();
   // Mirrors the r1-only early-out of GroupSaModel::ScoreUserItem.
   const bool blended = !rep.latent.empty() && blend > 0.0f;
@@ -878,8 +791,8 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
     if (blended) {
       // r^R2 over [h_j (+) x_t^V] (x^V falls back to emb^V for Group-I).
       const Matrix* latents = &ws.embs;
-      if (latent_table != nullptr) {
-        GatherRowsInto(*latent_table, ids, c, &ws.latents);
+      if (side.latents != nullptr) {
+        GatherRowsInto(*side.latents, ids, c, &ws.latents);
         latents = &ws.latents;
       }
       EnsureShape(&ws.r2a, c, h);
@@ -902,22 +815,14 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
 
 std::vector<double> InferenceEngine::ScoreBatchGroup(
     const GroupRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw) const {
-  return ScoreBatchGroup(rep, items, sw,
-                         model_->item_embedding().table()->value(),
-                         sw.attn_item_prefix);
-}
-
-std::vector<double> InferenceEngine::ScoreBatchGroup(
-    const GroupRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw, const tensor::Matrix& table,
-    const tensor::Matrix& attn_prefix) const {
+    const SplitWeights& sw, const Side& side) const {
   std::vector<double> scores;
   scores.reserve(items.size());
   if (items.empty()) return scores;
   Workspace& ws = GetWorkspace();
 
-  const Matrix& item_table = table;
+  const Matrix& item_table = *side.items;
+  const Matrix& attn_prefix = *side.attn_prefix;
   const Matrix& reps = rep.member_reps;  // l x d
   const int l = reps.rows();
   const int d = reps.cols();
@@ -1041,14 +946,12 @@ std::vector<double> InferenceEngine::ScoreBatchGroup(
 
 std::vector<double> InferenceEngine::ScoreItemsForUser(
     data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = GetUserRep(user);
-  return ScoreBatchUser(rep, items, *GetSplitWeights());
+  return ScoreCatalog(UsersQuery({user}, /*quantized=*/false), items);
 }
 
 std::vector<double> InferenceEngine::ScoreItemsForGroup(
     data::GroupId group, const std::vector<data::ItemId>& items) {
-  const GroupRep rep = GetGroupRep(group);
-  return ScoreBatchGroup(rep, items, *GetSplitWeights());
+  return ScoreCatalog(GroupQuery(group, /*quantized=*/false), items);
 }
 
 std::vector<double> InferenceEngine::ScoreItemsForMembers(
@@ -1056,9 +959,7 @@ std::vector<double> InferenceEngine::ScoreItemsForMembers(
     const std::vector<data::ItemId>& items) {
   // Ad-hoc (cold) member lists have no stable key; build the reps per
   // request and batch only the per-item work.
-  Revalidate();
-  const GroupRep rep = BuildMembersRep(members);
-  return ScoreBatchGroup(rep, items, *GetSplitWeights());
+  return ScoreCatalog(MembersQuery(members), items);
 }
 
 std::vector<std::vector<double>> InferenceEngine::MemberItemScores(
@@ -1073,78 +974,38 @@ std::vector<std::vector<double>> InferenceEngine::MemberItemScores(
 
 std::vector<std::pair<data::ItemId, double>> InferenceEngine::RecommendForUser(
     data::UserId user, int k, const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
+  const bool int8 = score_mode() == ScoreMode::kInt8;
+  return Retrieve(UsersQuery({user}, int8), k, [&](data::ItemId item) {
     return exclude != nullptr && exclude->Has(user, item);
-  };
-  if (score_mode() == ScoreMode::kInt8)
-    return Int8TopKUser(DequantizeUserRep(GetQuantUserRep(user)), k, skip);
-  if (topk_mode() == TopKMode::kIvf)
-    return IvfTopKUser(GetUserRep(user), k, skip);
-  const std::vector<double> scores =
-      ScoreItemsForUser(user, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
+  });
 }
 
 std::vector<std::pair<data::ItemId, double>>
 InferenceEngine::RecommendForGroup(data::GroupId group, int k,
                                    const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
+  const bool int8 = score_mode() == ScoreMode::kInt8;
+  return Retrieve(GroupQuery(group, int8), k, [&](data::ItemId item) {
     return exclude != nullptr && exclude->Has(group, item);
-  };
-  if (score_mode() == ScoreMode::kInt8)
-    return Int8TopKGroup(DequantizeGroupRep(GetQuantGroupRep(group)), k, skip);
-  if (topk_mode() == TopKMode::kIvf)
-    return IvfTopKGroup(GetGroupRep(group), k, skip);
-  const std::vector<double> scores =
-      ScoreItemsForGroup(group, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
+  });
 }
 
 std::vector<std::pair<data::ItemId, double>>
 InferenceEngine::RecommendForMembers(const std::vector<data::UserId>& members,
                                      int k,
                                      const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
-    if (exclude == nullptr) return false;
-    for (data::UserId member : members)
-      if (exclude->Has(member, item)) return true;
-    return false;
-  };
-  if (score_mode() == ScoreMode::kInt8) {
-    // Ad-hoc member lists have no cache key: the voting-stack rep is built
-    // in FP32 per request (as in exact mode); the int8 scan still replaces
-    // the full-catalog FP32 pass.
-    Revalidate();
-    return Int8TopKGroup(BuildMembersRep(members), k, skip);
-  }
-  if (topk_mode() == TopKMode::kIvf) {
-    Revalidate();
-    return IvfTopKGroup(BuildMembersRep(members), k, skip);
-  }
-  const std::vector<double> scores =
-      ScoreItemsForMembers(members, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
+  return Retrieve(MembersQuery(members), k, AnyMemberSaw(members, exclude));
 }
 
 // ---------------- Validated (Status) serving entry points ----------------
 
 Status InferenceEngine::ValidateUser(data::UserId user) const {
-  if (user < 0 || user >= model_->num_users()) {
-    return Status::Error(StrFormat("user id %d out of range [0, %d)", user,
-                                   model_->num_users()));
-  }
-  return Status::Ok();
+  return CheckId("user", user, model_->num_users());
 }
 
 Status InferenceEngine::ValidateGroup(data::GroupId group) const {
   const data::GroupTable* groups = model_->model_data().groups;
-  if (groups == nullptr)
-    return Status::Error("model has no group table");
-  if (group < 0 || group >= groups->num_groups()) {
-    return Status::Error(StrFormat("group id %d out of range [0, %d)", group,
-                                   groups->num_groups()));
-  }
-  return Status::Ok();
+  if (groups == nullptr) return Status::Error("model has no group table");
+  return CheckId("group", group, groups->num_groups());
 }
 
 Status InferenceEngine::ValidateMembers(
@@ -1158,12 +1019,8 @@ Status InferenceEngine::ValidateMembers(
 
 Status InferenceEngine::ValidateItems(
     const std::vector<data::ItemId>& items) const {
-  for (data::ItemId item : items) {
-    if (item < 0 || item >= model_->num_items()) {
-      return Status::Error(StrFormat("item id %d out of range [0, %d)", item,
-                                     model_->num_items()));
-    }
-  }
+  for (data::ItemId item : items)
+    GROUPSA_RETURN_IF_ERROR(CheckId("item", item, model_->num_items()));
   return Status::Ok();
 }
 

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,6 +38,16 @@ namespace groupsa::core {
 //     (num_items x d) batch via tensor::Gemm, and apply the Eq. 23 blend
 //     row-wise.
 //
+// One retrieval pipeline serves every request kind. An entry point
+// validates its ids and prepares a Query — a user (Eq. 22/23), a known or
+// ad-hoc group through the voting stack (Eq. 1-10, 20), or the Sec. II-F
+// member average — holding the representations it scores with. Retrieve()
+// then runs candidates (the catalog, or the IVF lists whose pseudo-items
+// score best) -> an optional int8 scan down to a re-rank shortlist -> the
+// exact towers over the survivors -> TopKItems. Two primitives do all the
+// scoring: ScoreRows (the exact towers over rows of the catalog or of the
+// IVF centroid tables) and Scan (the int8 approximation).
+//
 // Bit-exactness contract: batched scores are BIT-IDENTICAL (0 ULP) to the
 // per-item path (GroupSaModel::Score*PerItem) at any thread count. This
 // holds because tensor::Gemm produces each output row with the same
@@ -43,7 +55,8 @@ namespace groupsa::core {
 // constructed to equal, float for float, the row the per-item path feeds its
 // ops (same concat order, same bias/activation/softmax/blend per-row math).
 // The per-item autograd path remains the training path and the parity
-// oracle; tests/core/inference_engine_test.cc enforces the contract.
+// oracle; tests/core/inference_engine_test.cc and
+// tests/core/retrieval_matrix_test.cc enforce the contract.
 //
 // Cache lifetime: every cached representation is stamped with the model's
 // parameter version — the sum of ag::Tensor::value_version() over all
@@ -117,76 +130,55 @@ class InferenceEngine {
       const data::InteractionMatrix* exclude,
       std::vector<std::pair<data::ItemId, double>>* out);
 
-  // ---------------- Sublinear retrieval (TopKMode::kIvf) -----------------
-  // Opt-in IVF candidate generation for the Recommend* entry points: probe
-  // the item index's best-scoring inverted lists and re-rank the candidate
-  // union EXACTLY through the batched scorer. Scorers (ScoreItemsFor*) are
-  // unaffected — the mode only changes which items the top-K considers.
+  // ---------------- Retrieval modes ----------------------------------------
+  // The modes of Retrieve (see the class comment); the ScoreItemsFor*
+  // scorers ignore them. Setters are setup-time calls: they must not race
+  // with in-flight scoring.
   //
-  // Probe selection is model-agnostic: the engine scores each list's
-  // pseudo-item — the per-list mean rows of the live item tables — through
-  // the very towers that score real items, and probes the lists whose
-  // pseudo-items score highest. With nprobe >= nlist every list is probed,
-  // the candidate set is the whole catalog, and (because per-row score bits
-  // are independent of batch composition and TopKItems is a strict total
-  // order) the result is bit-identical to kExact.
-  //
-  // The index and its centroid tables are cached like every other derived
-  // representation: keyed on the parameter version, dropped by Revalidate on
-  // any parameter update and lazily rebuilt on the next IVF query. Call
-  // GetOrBuildIndex() eagerly (the serve daemon does, while constructing a
-  // generation off the serving path) to keep the build cost off requests.
-  // Setters are setup-time calls: they must not race with in-flight scoring.
+  // TopKMode::kIvf probes the item index's best-scoring lists. Probe
+  // selection is model-agnostic: each list's pseudo-item — the per-list mean
+  // rows of the live item tables — is scored through the very towers that
+  // score real items. With nprobe >= nlist every list is probed and (per-row
+  // score bits being independent of batch composition, TopKItems a strict
+  // total order) the result is bit-identical to kExact.
   void set_topk_mode(TopKMode mode);
   TopKMode topk_mode() const;
   // Replaces the index build/query knobs and drops any built index.
   void set_index_config(const ItemIndexConfig& config);
   ItemIndexConfig index_config() const;
-  // The current-parameter-version index, built on first use. The pointer
+  // The current-parameter-version index, built on first use and dropped on
+  // any parameter update. Call it eagerly (the serve daemon does, while
+  // constructing a generation) to keep the build off requests. The pointer
   // stays valid across invalidation (shared ownership); it just stops being
   // the engine's current index.
   std::shared_ptr<const ItemIndex> GetOrBuildIndex();
 
   // Exact tower scores of the index's per-list pseudo-items (one score per
   // centroid, nlist() entries) — the coarse stage of the IVF search, public
-  // so external re-rankers (FastGroupRecommender) can drive their own
-  // candidate generation through ItemIndex::SelectProbes/Candidates.
-  std::vector<double> ScoreCentroidsForUser(data::UserId user);
+  // so a caller can decompose a retrieval into its stages through
+  // ItemIndex::SelectProbes/Candidates.
   std::vector<double> ScoreCentroidsForGroup(data::GroupId group);
   std::vector<double> ScoreCentroidsForMembers(
       const std::vector<data::UserId>& members);
 
-  // ---------------- Quantized serving (ScoreMode::kInt8) -----------------
-  // Opt-in int8 candidate scan for the Recommend* entry points. Under kInt8
-  // the engine caches per-entity representations ROW-QUANTIZED (d + 4 bytes
-  // per d-column row instead of 4d — the serving-memory win), scans the
-  // catalog (or, composing with TopKMode::kIvf, the IVF candidate union)
-  // with an int8 x int8 -> int32 dot against the quantized item tables, and
-  // re-ranks the best Int8Config::rerank_k survivors through the exact FP32
-  // towers. Returned scores therefore always carry exact-path bits for the
-  // dequantized cached representation; only WHICH items reach the final
-  // re-rank is approximate.
-  //
-  // The scan direction is a first-order linearization of the predictor
-  // tower: the gradient of the tower output with respect to its item-side
-  // input, taken at the catalog-mean reference item with the activation
-  // (ReLU) masks frozen there. That gradient is a per-request 1 x d vector;
-  // quantizing it per request is O(d) while the big item-side tables are
-  // quantized once per parameter version in GetQuantState().
-  //
-  // Ad-hoc member lists (RecommendForMembers) have no cache key, so their
-  // voting-stack representation is built in FP32 per request as in exact
-  // mode; the int8 scan still replaces the full-catalog FP32 pass.
-  // Setters are setup-time calls: they must not race with in-flight scoring.
+  // ScoreMode::kInt8 caches user and group representations ROW-QUANTIZED
+  // (d + 4 bytes per d-column row instead of 4d — the serving-memory win),
+  // scans the candidates with an int8 x int8 -> int32 dot against the
+  // quantized item tables, and re-ranks the best Int8Config::rerank_k
+  // through the exact FP32 towers: returned scores carry exact-path bits for
+  // the dequantized cached representation; only WHICH items reach the
+  // re-rank is approximate. The scan direction is a first-order
+  // linearization of the predictor tower — its item-side input gradient at
+  // the catalog-mean reference item, activation masks frozen there — a
+  // per-request 1 x d vector, quantized in O(d).
   void set_score_mode(ScoreMode mode);
   ScoreMode score_mode() const;
   void set_int8_config(const Int8Config& config);
   Int8Config int8_config() const;
 
   // Quantized item-side tables plus the reference rows the linearization is
-  // taken at; cached per parameter version exactly like the IVF state. Call
-  // eagerly (the serve daemon does, while constructing a generation) to keep
-  // the table quantization off the request path.
+  // taken at; cached per parameter version like the index, and built eagerly
+  // by the serve daemon for the same reason.
   struct QuantState {
     QuantizedRows items;       // item-embedding table, row-quantized
     QuantizedRows latents;     // user-modeling item-space table, or empty
@@ -199,8 +191,8 @@ class InferenceEngine {
   std::shared_ptr<const QuantState> GetQuantState();
 
   // Raw int8-scan scores (approximate, for ranking only: constant offsets
-  // are dropped). Public for the quality tests and for external re-rankers
-  // (FastGroupRecommender) that shortlist with the same scan.
+  // are dropped). Public for the quality tests and for callers that
+  // decompose a user retrieval into its stages.
   std::vector<double> ApproxScoreItemsForUser(
       data::UserId user, const std::vector<data::ItemId>& items);
   // Exact FP32 tower scores over the DEQUANTIZED quantized-cached user
@@ -208,8 +200,8 @@ class InferenceEngine {
   // ScoreItemsForUser whenever quantization round-trips the rep exactly.
   std::vector<double> QuantScoreItemsForUser(
       data::UserId user, const std::vector<data::ItemId>& items);
-  // IVF coarse stage over the quantized-cached rep (exact centroid scoring,
-  // like ScoreCentroidsForUser, without touching the FP32 rep cache).
+  // IVF coarse stage over the quantized-cached rep (exact centroid scoring
+  // without touching the FP32 rep cache).
   std::vector<double> QuantScoreCentroidsForUser(data::UserId user);
 
   // Drops every cached representation immediately. Never required for
@@ -234,21 +226,25 @@ class InferenceEngine {
   size_t Fp32UserCacheBytes() const;
 
  private:
+  // FastGroupRecommender is the averaged-members query kind: it prepares its
+  // query and validates through the engine's private pipeline.
+  friend class FastGroupRecommender;
+
   // Item-independent per-user state: emb_j^U and (when user modeling is on)
   // the latent h_j. `latent` is empty when the blend is inactive.
   struct UserRep {
     tensor::Matrix embedding;  // 1 x d
     tensor::Matrix latent;     // 1 x d, or empty
+    std::vector<tensor::Matrix*> Parts() { return {&embedding, &latent}; }
   };
   // Item-independent per-group state: the voting-stack output x_{t,i}^U.
   struct GroupRep {
     tensor::Matrix member_reps;  // l x d
+    std::vector<tensor::Matrix*> Parts() { return {&member_reps}; }
   };
-
-  // Returns the cached representation, building (and inserting) it on miss.
-  // Returned by value: map storage may move under concurrent inserts.
-  UserRep GetUserRep(data::UserId user);
-  GroupRep GetGroupRep(data::GroupId group);
+  // A representation row-quantized part by part (Parts() order); what the
+  // int8-mode caches hold instead of the FP32 rep.
+  using QuantRep = std::vector<QuantizedRows>;
 
   // Tape-free representation builders (no cache).
   UserRep BuildUserRep(data::UserId user) const;
@@ -271,39 +267,8 @@ class InferenceEngine {
     tensor::Matrix group_w_top, group_w_bot;  // group tower layer-0 halves
   };
   SplitWeights BuildSplitWeights() const;
-  // Returns the current-version split weights, building them on first use
-  // after an invalidation (shared across threads; first build wins).
-  std::shared_ptr<const SplitWeights> GetSplitWeights();
 
-  // Batched scoring given a prebuilt representation. The table-parameterized
-  // variants score rows of an arbitrary item-side table (ids index `table`):
-  // the catalog entry points pass the model's live tables, the IVF coarse
-  // stage passes the index's centroid tables — same code, same bits.
-  // `latent_table` may be null (latent concat rows fall back to `table`, the
-  // Group-I behaviour); `attn_prefix` must hold Gemm(table, attn_w_top).
-  std::vector<double> ScoreBatchUser(const UserRep& rep,
-                                     const std::vector<data::ItemId>& items,
-                                     const SplitWeights& sw) const;
-  std::vector<double> ScoreBatchGroup(const GroupRep& rep,
-                                      const std::vector<data::ItemId>& items,
-                                      const SplitWeights& sw) const;
-  std::vector<double> ScoreBatchUser(const UserRep& rep,
-                                     const std::vector<data::ItemId>& items,
-                                     const SplitWeights& sw,
-                                     const tensor::Matrix& table,
-                                     const tensor::Matrix* latent_table) const;
-  std::vector<double> ScoreBatchGroup(const GroupRep& rep,
-                                      const std::vector<data::ItemId>& items,
-                                      const SplitWeights& sw,
-                                      const tensor::Matrix& table,
-                                      const tensor::Matrix& attn_prefix) const;
-
-  // The item-space latent table when user modeling carries one, else null
-  // (shared by the catalog scoring paths and the IVF state build).
-  const tensor::Matrix* ModelLatentTable() const;
-
-  // Index plus the derived centroid scoring tables, cached per parameter
-  // version exactly like SplitWeights.
+  // Index plus the derived centroid scoring tables.
   struct IvfState {
     ItemIndex index;
     tensor::Matrix centroid_table;    // ListMeans over the item embeddings
@@ -312,64 +277,111 @@ class InferenceEngine {
   };
   IvfState BuildIvfState(const ItemIndexConfig& config,
                          const SplitWeights& sw) const;
-  // Returns the current-version state, building on first use after an
-  // invalidation (shared across threads; first build wins).
-  std::shared_ptr<const IvfState> GetIvfState();
-
-  // IVF top-K given a prebuilt representation: coarse-score the centroid
-  // pseudo-items, probe, re-rank the candidate union exactly.
-  std::vector<std::pair<data::ItemId, double>> IvfTopKUser(
-      const UserRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-  std::vector<std::pair<data::ItemId, double>> IvfTopKGroup(
-      const GroupRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-
-  // ---------------- int8 internals (ScoreMode::kInt8) --------------------
-  // Row-quantized twins of UserRep/GroupRep; what the int8-mode caches hold.
-  struct QuantUserRep {
-    QuantizedRows embedding;  // 1 x d
-    QuantizedRows latent;     // 1 x d, or empty
-  };
-  struct QuantGroupRep {
-    QuantizedRows member_reps;  // l x d
-  };
-  // Cached lookup, building (FP32, transient) and quantizing on miss. The
-  // FP32 caches are NOT populated on this path — that is the memory win.
-  QuantUserRep GetQuantUserRep(data::UserId user);
-  QuantGroupRep GetQuantGroupRep(data::GroupId group);
-  static UserRep DequantizeUserRep(const QuantUserRep& q);
-  static GroupRep DequantizeGroupRep(const QuantGroupRep& q);
-
   QuantState BuildQuantState() const;
 
-  // Gradient of the MLP output (1 x 1) with respect to its input row, taken
-  // at x0 with every activation derivative evaluated there (the frozen-mask
-  // linearization). Returns 1 x in_dim.
-  static tensor::Matrix TowerInputGradient(const nn::Mlp& mlp,
-                                           const tensor::Matrix& x0);
+  // A derived state cached per parameter version: built on first use after a
+  // Reset and shared across threads; concurrent misses build identical
+  // states and the first to publish wins. Lock order: engine cache -> slot.
+  template <typename T>
+  class VersionedSlot {
+   public:
+    template <typename Build>
+    std::shared_ptr<const T> GetOrBuild(const Build& build) {
+      {
+        std::shared_lock<DebugSharedMutex> lock(mu_);
+        if (value_ != nullptr) return value_;
+      }
+      auto built = std::make_shared<const T>(build());
+      std::unique_lock<DebugSharedMutex> lock(mu_);
+      if (value_ == nullptr) value_ = std::move(built);
+      return value_;
+    }
+    void Reset() {
+      std::unique_lock<DebugSharedMutex> lock(mu_);
+      value_.reset();
+    }
 
-  // int8 scan scores of `items` (ids into the quantized tables) for a
-  // prebuilt FP32 representation; ranking-only values (offsets dropped).
-  void ApproxScoresUser(const UserRep& rep, const QuantState& qs,
-                        const std::vector<data::ItemId>& items,
-                        std::vector<double>* out) const;
-  void ApproxScoresGroup(const GroupRep& rep, const QuantState& qs,
-                         const std::vector<data::ItemId>& items,
-                         std::vector<double>* out) const;
+   private:
+    mutable DebugSharedMutex mu_{"core.engine_slot"};
+    std::shared_ptr<const T> value_ GROUPSA_GUARDED_BY(mu_);
+  };
+  std::shared_ptr<const SplitWeights> GetSplitWeights();
+  std::shared_ptr<const IvfState> GetIvfState();
 
-  // int8 top-K: candidates (catalog, or IVF union when topk_mode() is kIvf)
-  // -> int8 scan -> top rerank_k shortlist -> exact FP32 re-rank -> top k.
-  std::vector<std::pair<data::ItemId, double>> Int8TopKUser(
-      const UserRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-  std::vector<std::pair<data::ItemId, double>> Int8TopKGroup(
-      const GroupRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
+  // ---------------- The retrieval pipeline --------------------------------
+  // A prepared request. A user query holds one UserRep; the fast path's
+  // member average one per member (its scores are their rows summed in
+  // member order and divided by n); a group query (cached or ad-hoc) none.
+  struct Query {
+    std::vector<UserRep> users;
+    GroupRep group;
+    std::shared_ptr<const SplitWeights> sw;
+  };
+  // `quantized` takes reps from the int8 cache, dequantized, instead of the
+  // FP32 cache; ad-hoc member lists have no key and are built per request.
+  Query UsersQuery(const std::vector<data::UserId>& users, bool quantized);
+  Query GroupQuery(data::GroupId group, bool quantized);
+  Query MembersQuery(const std::vector<data::UserId>& members);
+
+  // The item-side tables ScoreRows reads: the live catalog or the IVF
+  // pseudo-items. `latents` may be null (latent rows fall back to `items`,
+  // the Group-I behaviour); `attn_prefix` holds Gemm(*items, attn_w_top).
+  struct Side {
+    const tensor::Matrix* items;
+    const tensor::Matrix* latents;
+    const tensor::Matrix* attn_prefix;
+  };
+  // The item-space latent table when user modeling carries one, else null.
+  const tensor::Matrix* ModelLatentTable() const;
+
+  // Exact tower scores of rows `ids` of `side`: of catalog items, or of
+  // every IVF pseudo-item (the coarse stage).
+  std::vector<double> ScoreRows(const Query& q, const Side& side,
+                                const std::vector<data::ItemId>& ids) const;
+  std::vector<double> ScoreCatalog(const Query& q,
+                                   const std::vector<data::ItemId>& ids) const;
+  std::vector<double> CentroidScores(const Query& q, const IvfState& ivf) const;
+  // int8 scan scores of catalog rows `ids`; ranking-only values.
+  std::vector<double> Scan(const Query& q, const QuantState& qs,
+                           const std::vector<data::ItemId>& ids) const;
+  // Candidates -> optional int8 scan + max(k, rerank_k) shortlist -> exact
+  // re-rank -> top k, under the current topk/score modes.
+  std::vector<std::pair<data::ItemId, double>> Retrieve(
+      const Query& q, int k, std::function<bool(data::ItemId)> skip);
+  // The skip filter of an ad-hoc member list over a user-row matrix: an
+  // item is skipped when ANY member has observed it.
+  static std::function<bool(data::ItemId)> AnyMemberSaw(
+      const std::vector<data::UserId>& members,
+      const data::InteractionMatrix* exclude);
+
+  // The per-kind math behind ScoreRows and Scan.
+  std::vector<double> ScoreBatchUser(const UserRep& rep,
+                                     const std::vector<data::ItemId>& items,
+                                     const SplitWeights& sw,
+                                     const Side& side) const;
+  std::vector<double> ScoreBatchGroup(const GroupRep& rep,
+                                      const std::vector<data::ItemId>& items,
+                                      const SplitWeights& sw,
+                                      const Side& side) const;
+  std::vector<double> ApproxScoresUser(
+      const UserRep& rep, const QuantState& qs,
+      const std::vector<data::ItemId>& items) const;
+  std::vector<double> ApproxScoresGroup(
+      const GroupRep& rep, const QuantState& qs,
+      const std::vector<data::ItemId>& items) const;
+
+  // The one rep-cache lookup path: the rep of `key` from the FP32 cache or,
+  // quantized, from the int8 cache (which int8 mode fills instead of the
+  // FP32 one: the memory win), built and inserted on a miss.
+  template <typename Rep, typename Key, typename Build>
+  Rep CachedRep(std::unordered_map<Key, Rep>* fp32,
+                std::unordered_map<Key, QuantRep>* int8, Key key,
+                bool quantized, const Build& build);
 
   // Drops all caches when the parameter version moved; returns the current
   // version.
   uint64_t Revalidate();
+  void DropCaches() GROUPSA_REQUIRES(mu_);
 
   // Request validation behind the Status entry points.
   Status ValidateUser(data::UserId user) const;
@@ -390,20 +402,18 @@ class InferenceEngine {
       GROUPSA_GUARDED_BY(mu_);
   std::unordered_map<data::GroupId, GroupRep> group_cache_
       GROUPSA_GUARDED_BY(mu_);
-  // reset on version change
-  std::shared_ptr<const SplitWeights> split_ GROUPSA_GUARDED_BY(mu_);
+  std::unordered_map<data::UserId, QuantRep> user_q_cache_
+      GROUPSA_GUARDED_BY(mu_);
+  std::unordered_map<data::GroupId, QuantRep> group_q_cache_
+      GROUPSA_GUARDED_BY(mu_);
   TopKMode topk_mode_ GROUPSA_GUARDED_BY(mu_) = TopKMode::kExact;
   ItemIndexConfig index_config_ GROUPSA_GUARDED_BY(mu_);
-  // reset on version change
-  std::shared_ptr<const IvfState> ivf_ GROUPSA_GUARDED_BY(mu_);
   ScoreMode score_mode_ GROUPSA_GUARDED_BY(mu_) = ScoreMode::kExact;
   Int8Config int8_config_ GROUPSA_GUARDED_BY(mu_);
-  // reset on version change
-  std::shared_ptr<const QuantState> quant_ GROUPSA_GUARDED_BY(mu_);
-  std::unordered_map<data::UserId, QuantUserRep> user_q_cache_
-      GROUPSA_GUARDED_BY(mu_);
-  std::unordered_map<data::GroupId, QuantGroupRep> group_q_cache_
-      GROUPSA_GUARDED_BY(mu_);
+  // Reset on version change (and the IVF state on set_index_config).
+  VersionedSlot<SplitWeights> split_ GROUPSA_NOT_GUARDED("self-locking");
+  VersionedSlot<IvfState> ivf_ GROUPSA_NOT_GUARDED("self-locking");
+  VersionedSlot<QuantState> quant_ GROUPSA_NOT_GUARDED("self-locking");
 };
 
 }  // namespace groupsa::core

@@ -1,29 +1,44 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 
 namespace groupsa::core {
 namespace {
 
-// Cuts `ranked` to its top k under BetterRanked and sorts the survivors.
-// The nth_element cut and the final sort share the comparator, so the two
-// code paths (k < size vs k >= size) produce identical orderings on ties.
-void CutAndSort(std::vector<std::pair<data::ItemId, double>>* ranked, int k) {
+// Cuts `ranked` to its top k under BetterRanked and returns the survivors
+// sorted. The nth_element cut and the final sort share the comparator, so
+// the two code paths (k < size vs k >= size) produce identical orderings on
+// ties. The survivors are copied out, so the answer holds at most k entries
+// of capacity rather than the whole scored range.
+std::vector<std::pair<data::ItemId, double>> CutAndSort(
+    std::vector<std::pair<data::ItemId, double>>* ranked, int k) {
   if (static_cast<int>(ranked->size()) > k) {
     std::nth_element(ranked->begin(), ranked->begin() + k, ranked->end(),
                      BetterRanked);
     ranked->resize(static_cast<size_t>(k));
   }
-  std::sort(ranked->begin(), ranked->end(), BetterRanked);
+  std::vector<std::pair<data::ItemId, double>> out(ranked->begin(),
+                                                   ranked->end());
+  std::sort(out.begin(), out.end(), BetterRanked);
+  return out;
 }
 
 }  // namespace
 
 bool BetterRanked(const std::pair<data::ItemId, double>& a,
                   const std::pair<data::ItemId, double>& b) {
-  if (a.second != b.second) return a.second > b.second;
+  if (a.second > b.second) return true;
+  if (a.second < b.second) return false;
+  // Equal scores, or a NaN on either side. NaN ranks after every number
+  // (-inf included) and ties with NaN; without this a NaN would compare
+  // "equivalent" to every score, which is not a strict weak order, and
+  // nth_element/sort would have undefined behaviour.
+  const bool a_nan = std::isnan(a.second);
+  const bool b_nan = std::isnan(b.second);
+  if (a_nan != b_nan) return b_nan;
   return a.first < b.first;
 }
 
@@ -38,8 +53,7 @@ std::vector<std::pair<data::ItemId, double>> TopKItems(
     if (skip != nullptr && skip(item)) continue;
     ranked.emplace_back(item, scores[v]);
   }
-  CutAndSort(&ranked, k);
-  return ranked;
+  return CutAndSort(&ranked, k);
 }
 
 std::vector<std::pair<data::ItemId, double>> TopKItems(
@@ -54,8 +68,7 @@ std::vector<std::pair<data::ItemId, double>> TopKItems(
     if (skip != nullptr && skip(items[i])) continue;
     ranked.emplace_back(items[i], scores[i]);
   }
-  CutAndSort(&ranked, k);
-  return ranked;
+  return CutAndSort(&ranked, k);
 }
 
 std::vector<data::ItemId> AllItems(int num_items) {

@@ -10,7 +10,8 @@
 namespace groupsa::core {
 
 // The single strict-total-order comparator behind every ranking path in the
-// library: higher score first, equal scores broken by ascending item id.
+// library: higher score first, NaN after every number, equal scores (and
+// NaNs) broken by ascending item id.
 // Exact scoring, IVF re-rank and probe selection all rank through this one
 // function, which is what lets tied scores come out byte-identical across
 // paths (and across the nth_element cut vs full-sort code paths below).

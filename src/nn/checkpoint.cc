@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -266,6 +267,17 @@ Status DecodeParameters(const std::vector<ParamEntry>& params,
     tensor::Matrix value(static_cast<int>(rows), static_cast<int>(cols));
     if (!record.ReadFloats(value.data(), static_cast<size_t>(value.size())))
       return Status::Error("truncated parameter data for " + name);
+    // A CRC only proves the bytes arrived as written; a diverged run can
+    // write a NaN faithfully. Non-finite weights would serve silently wrong
+    // (or undefined) rankings, so they are rejected like corruption.
+    for (int j = 0; j < value.size(); ++j) {
+      if (!std::isfinite(value.data()[j])) {
+        return Status::Error(StrFormat(
+            "non-finite value %g in parameter %s at (%d, %d)",
+            static_cast<double>(value.data()[j]), name.c_str(),
+            j / value.cols(), j % value.cols()));
+      }
+    }
     staged.push_back({it->second, std::move(value)});
   }
   if (staged.size() != params.size()) {

@@ -73,8 +73,8 @@ class CheckpointReader {
 // Parameter-section codec. EncodeParameters lays out count + per-parameter
 // records (name, shape, float data, record CRC32). DecodeParameters stages
 // every tensor first and commits all-or-nothing: on any error — unknown
-// name, shape mismatch, truncated record, CRC failure, missing parameters —
-// the live model is left bit-for-bit untouched.
+// name, shape mismatch, truncated record, CRC failure, a non-finite value,
+// missing parameters — the live model is left bit-for-bit untouched.
 std::string EncodeParameters(const std::vector<ParamEntry>& params);
 Status DecodeParameters(const std::vector<ParamEntry>& params,
                         const std::string& payload);

@@ -320,7 +320,7 @@ TEST(Int8ModeTest, FastRecommenderInt8MatchesExactScanClosely) {
   const std::vector<data::UserId> members{1, 4, 9};
 
   const auto exact = fast.RecommendForMembers(members, 10, nullptr);
-  fast.set_score_mode(ScoreMode::kInt8);
+  w.model->inference().set_score_mode(ScoreMode::kInt8);
   const auto quant = fast.RecommendForMembers(members, 10, nullptr);
   ASSERT_EQ(quant.size(), 10u);
   std::set<data::ItemId> want;
@@ -335,7 +335,7 @@ TEST(Int8ModeTest, FastRecommenderInt8MatchesExactScanClosely) {
   index_config.nlist = 12;
   index_config.nprobe = 12;
   engine.set_index_config(index_config);
-  fast.set_topk_mode(TopKMode::kIvf);
+  engine.set_topk_mode(TopKMode::kIvf);
   EXPECT_TRUE(SameList(quant, fast.RecommendForMembers(members, 10, nullptr)));
 }
 

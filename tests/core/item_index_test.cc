@@ -250,7 +250,7 @@ TEST(ItemIndexTest, FastRecommenderFullProbeBitIdenticalToExact) {
 
   const std::vector<data::UserId> members = {2, 6, 10};
   const auto exact = fast.RecommendForMembers(members, 10, &f.ui_train);
-  fast.set_topk_mode(TopKMode::kIvf);
+  model->inference().set_topk_mode(TopKMode::kIvf);
   EXPECT_TRUE(SameBits(fast.RecommendForMembers(members, 10, &f.ui_train),
                        exact));
 }

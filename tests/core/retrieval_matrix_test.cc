@@ -1,0 +1,297 @@
+// Differential mode-matrix oracle for the retrieval pipeline: one table of
+// seeded worlds x model configs (user modeling on/off, N_X in {1, 2},
+// attention wider than the fused-kernel cap) x request kinds (user, known
+// group, ad-hoc members, fast member average) x pool widths {1, 4}. Every
+// retrieval mode must agree with the one below it, bit for bit:
+//
+//   batched ScoreItemsFor*          == GroupSaModel::Score*PerItem
+//   exact Recommend*                == top-k of the per-item scores
+//   IVF, full probe                 == exact
+//   int8 + IVF, full probe          == int8 over the catalog
+//   (fast) IVF / int8, full probe   == (fast) exact / int8
+//   the public IVF + int8 pieces    == RecommendForUser (int8 + IVF)
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/fast_recommender.h"
+#include "core/groupsa_model.h"
+#include "core/inference_engine.h"
+#include "core/item_index.h"
+#include "core/quantized.h"
+#include "core/topk.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "data/tfidf.h"
+
+namespace groupsa::core {
+namespace {
+
+using Ranked = std::vector<std::pair<data::ItemId, double>>;
+
+constexpr int kTopK = 10;
+constexpr int kLists = 8;
+
+struct MatrixCase {
+  const char* name;
+  uint64_t world_seed;
+  bool user_modeling;
+  int voting_layers;     // N_X
+  int attention_hidden;  // > tensor::kMaxFusedHidden takes the buffered path
+};
+
+const MatrixCase kCases[] = {
+    {"um_nx1", 3, true, 1, 8},
+    {"no_um_nx1", 3, false, 1, 8},
+    {"um_nx2", 17, true, 2, 8},
+    {"no_um_nx2_wide", 17, false, 2, 144},
+    {"um_nx1_wide", 29, true, 1, 144},
+    {"um_nx2_wide", 29, true, 2, 144},
+};
+
+GroupSaConfig ConfigFor(const MatrixCase& c) {
+  GroupSaConfig config = GroupSaConfig::Default();
+  config.embedding_dim = 8;
+  config.attention_hidden = c.attention_hidden;
+  config.ffn_hidden = 8;
+  config.predictor_hidden = {8};
+  config.fusion_hidden = {8};
+  config.num_voting_layers = c.voting_layers;
+  config.use_item_aggregation = c.user_modeling;
+  config.use_social_aggregation = c.user_modeling;
+  return config;
+}
+
+// A seeded tiny world with its train matrices and a freshly initialised
+// model.
+struct World {
+  data::SyntheticWorld world;
+  data::InteractionMatrix ui_train;
+  data::InteractionMatrix gi_train;
+  ModelData model_data;
+  std::unique_ptr<GroupSaModel> model;
+
+  World(const MatrixCase& c, const GroupSaConfig& config) {
+    data::SyntheticWorldConfig wc = data::SyntheticWorldConfig::Tiny();
+    wc.name = c.name;
+    wc.seed = c.world_seed;
+    world = data::GenerateWorld(wc);
+    Rng rng(c.world_seed + 1);
+    const data::Split ui =
+        data::SplitEdges(world.dataset.user_item, 0.2, 0.0, &rng);
+    const data::Split gi =
+        data::GlobalSplitEdges(world.dataset.group_item, 0.2, 0.0, &rng);
+    ui_train = data::InteractionMatrix(world.dataset.num_users,
+                                       world.dataset.num_items, ui.train);
+    gi_train = data::InteractionMatrix(world.dataset.groups.num_groups(),
+                                       world.dataset.num_items, gi.train);
+    model_data.groups = &world.dataset.groups;
+    model_data.social = &world.dataset.social;
+    model_data.top_items = data::TopItemsPerUser(ui_train, config.top_h);
+    model_data.top_friends =
+        data::TopFriendsPerUser(world.dataset.social, config.top_h);
+    Rng model_rng(c.world_seed * 7 + 11);
+    model = std::make_unique<GroupSaModel>(
+        config, world.dataset.num_users, world.dataset.num_items, model_data,
+        &model_rng);
+  }
+};
+
+bool SameBits(const Ranked& a, const Ranked& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].first != b[i].first) return false;
+    if (std::memcmp(&a[i].second, &b[i].second, sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0);
+}
+
+ItemIndexConfig IndexConfig(int nprobe) {
+  ItemIndexConfig config;
+  config.nlist = kLists;
+  config.nprobe = nprobe;
+  return config;
+}
+
+// The fast recommender follows its engine's retrieval modes.
+void SetModes(InferenceEngine& engine, FastGroupRecommender& /*fast*/,
+              TopKMode topk, ScoreMode score) {
+  engine.set_topk_mode(topk);
+  engine.set_score_mode(score);
+}
+
+// One ranked answer per request kind, under whatever modes are set.
+struct Answers {
+  Ranked user, group, members, fast;
+};
+
+class RetrievalMatrixTest : public ::testing::TestWithParam<MatrixCase> {
+ protected:
+  void SetUp() override {
+    config_ = ConfigFor(GetParam());
+    world_ = std::make_unique<World>(GetParam(), config_);
+    model_ = world_->model.get();
+    fast_ = std::make_unique<FastGroupRecommender>(model_);
+    const int num_users = world_->world.dataset.num_users;
+    user_ = 5 % num_users;
+    group_ = 3 % world_->world.dataset.groups.num_groups();
+    members_ = {1 % num_users, 7 % num_users, 12 % num_users};
+  }
+
+  void TearDown() override { parallel::SetGlobalThreads(1); }
+
+  InferenceEngine& engine() { return model_->inference(); }
+
+  Answers Recommend() {
+    Answers a;
+    a.user = engine().RecommendForUser(user_, kTopK, &world_->ui_train);
+    a.group = engine().RecommendForGroup(group_, kTopK, &world_->gi_train);
+    a.members =
+        engine().RecommendForMembers(members_, kTopK, &world_->ui_train);
+    a.fast = fast_->RecommendForMembers(members_, kTopK, &world_->ui_train);
+    return a;
+  }
+
+  void ExpectSame(const Answers& got, const Answers& want,
+                  const std::string& what) {
+    EXPECT_TRUE(SameBits(got.user, want.user)) << what << " user";
+    EXPECT_TRUE(SameBits(got.group, want.group)) << what << " group";
+    EXPECT_TRUE(SameBits(got.members, want.members)) << what << " members";
+    EXPECT_TRUE(SameBits(got.fast, want.fast)) << what << " fast";
+    EXPECT_EQ(got.user.size(), static_cast<size_t>(kTopK)) << what;
+  }
+
+  bool MemberSaw(data::ItemId item) const {
+    for (data::UserId m : members_)
+      if (world_->ui_train.Has(m, item)) return true;
+    return false;
+  }
+
+  GroupSaConfig config_;
+  std::unique_ptr<World> world_;
+  GroupSaModel* model_ = nullptr;
+  std::unique_ptr<FastGroupRecommender> fast_;
+  data::UserId user_ = 0;
+  data::GroupId group_ = 0;
+  std::vector<data::UserId> members_;
+};
+
+TEST_P(RetrievalMatrixTest, EveryModeAgreesWithTheOneBelow) {
+  const std::vector<data::ItemId> all = AllItems(model_->num_items());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    parallel::SetGlobalThreads(threads);
+    engine().InvalidateAll();
+    engine().set_index_config(IndexConfig(kLists));
+    engine().set_int8_config(Int8Config{});
+    SetModes(engine(), *fast_, TopKMode::kExact, ScoreMode::kExact);
+
+    // Batched scorers against the per-item autograd oracle (0 ULP).
+    const std::vector<double> user_oracle =
+        model_->ScoreItemsForUserPerItem(user_, all);
+    const std::vector<double> group_oracle =
+        model_->ScoreItemsForGroupPerItem(group_, all);
+    const std::vector<double> members_oracle =
+        model_->ScoreItemsForMembersPerItem(members_, all);
+    std::vector<double> fast_oracle(all.size(), 0.0);
+    for (data::UserId m : members_) {
+      const std::vector<double> s = model_->ScoreItemsForUserPerItem(m, all);
+      for (size_t i = 0; i < all.size(); ++i) fast_oracle[i] += s[i];
+    }
+    for (double& s : fast_oracle) s /= static_cast<double>(members_.size());
+    EXPECT_TRUE(SameBits(engine().ScoreItemsForUser(user_, all), user_oracle));
+    EXPECT_TRUE(
+        SameBits(engine().ScoreItemsForGroup(group_, all), group_oracle));
+    EXPECT_TRUE(
+        SameBits(engine().ScoreItemsForMembers(members_, all), members_oracle));
+    EXPECT_TRUE(
+        SameBits(fast_->ScoreItemsForMembers(members_, all), fast_oracle));
+
+    // Exact retrieval: the top-k of the oracle scores.
+    const Answers exact = Recommend();
+    Answers oracle;
+    oracle.user = TopKItems(user_oracle, kTopK, [&](data::ItemId v) {
+      return world_->ui_train.Has(user_, v);
+    });
+    oracle.group = TopKItems(group_oracle, kTopK, [&](data::ItemId v) {
+      return world_->gi_train.Has(group_, v);
+    });
+    oracle.members = TopKItems(members_oracle, kTopK,
+                               [&](data::ItemId v) { return MemberSaw(v); });
+    oracle.fast = TopKItems(fast_oracle, kTopK,
+                            [&](data::ItemId v) { return MemberSaw(v); });
+    ExpectSame(exact, oracle, "exact vs per-item oracle");
+
+    // IVF with every list probed covers the catalog: exact bits.
+    SetModes(engine(), *fast_, TopKMode::kIvf, ScoreMode::kExact);
+    ExpectSame(Recommend(), exact, "ivf full probe vs exact");
+
+    // int8 over the catalog, then composed with a full-probe IVF.
+    SetModes(engine(), *fast_, TopKMode::kExact, ScoreMode::kInt8);
+    const Answers int8 = Recommend();
+    SetModes(engine(), *fast_, TopKMode::kIvf, ScoreMode::kInt8);
+    ExpectSame(Recommend(), int8, "int8 + ivf full probe vs int8");
+  }
+}
+
+TEST_P(RetrievalMatrixTest, PublicPiecesComposeToRecommendForUser) {
+  // The decomposition an external tracer runs: centroid scores -> probes ->
+  // candidates -> int8 scan -> shortlist -> exact re-rank -> top-k. A
+  // partial probe and a short re-rank list make every stage cut.
+  Int8Config int8;
+  int8.rerank_k = 12;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    parallel::SetGlobalThreads(threads);
+    engine().InvalidateAll();
+    engine().set_index_config(IndexConfig(3));
+    engine().set_int8_config(int8);
+    SetModes(engine(), *fast_, TopKMode::kIvf, ScoreMode::kInt8);
+    const auto index = engine().GetOrBuildIndex();
+    ASSERT_EQ(index->nlist(), kLists);
+    const auto skip = [&](data::ItemId v) {
+      return world_->ui_train.Has(user_, v);
+    };
+    for (int k : {1, kTopK, 40}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k);
+      const std::vector<data::ItemId> candidates = index->Candidates(
+          index->SelectProbes(engine().QuantScoreCentroidsForUser(user_), 0));
+      ASSERT_LT(candidates.size(), static_cast<size_t>(model_->num_items()));
+      const Ranked shortlist = TopKItems(
+          candidates, engine().ApproxScoreItemsForUser(user_, candidates),
+          std::max(k, int8.rerank_k), skip);
+      std::vector<data::ItemId> ids;
+      for (const auto& entry : shortlist) ids.push_back(entry.first);
+      const Ranked composed =
+          TopKItems(ids, engine().QuantScoreItemsForUser(user_, ids), k);
+      EXPECT_TRUE(SameBits(composed,
+                           engine().RecommendForUser(user_, k,
+                                                     &world_->ui_train)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, RetrievalMatrixTest, ::testing::ValuesIn(kCases),
+    [](const ::testing::TestParamInfo<MatrixCase>& info) {
+      return std::string(info.param.name);
+    });
+
+}  // namespace
+}  // namespace groupsa::core

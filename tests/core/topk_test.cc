@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -161,6 +163,80 @@ TEST(TopKItemsTest, TieHeavyNthElementCutMatchesFullSort) {
   for (size_t i = 1; i < selected.size(); ++i) {
     if (selected[i].second == selected[i - 1].second) {
       EXPECT_LT(selected[i - 1].first, selected[i].first);
+    }
+  }
+}
+
+TEST(TopKItemsTest, AnswerCapacityIsKNotTheCatalog) {
+  // A served answer is kept by the caller; it must not carry the capacity
+  // of the whole scored range it was cut from.
+  std::vector<double> scores(20000);
+  for (size_t i = 0; i < scores.size(); ++i)
+    scores[i] = static_cast<double>((i * 7919) % 1009);
+  const auto full = TopKItems(scores, 10);
+  ASSERT_EQ(full.size(), 10u);
+  EXPECT_EQ(full.capacity(), full.size());
+  const auto subset = TopKItems(AllItems(20000), scores, 10);
+  ASSERT_EQ(subset.size(), 10u);
+  EXPECT_EQ(subset.capacity(), subset.size());
+  // A skip filter that leaves fewer than k survivors takes the k >= n path.
+  const auto few = TopKItems(scores, 10, [](data::ItemId v) { return v > 4; });
+  ASSERT_EQ(few.size(), 5u);
+  EXPECT_EQ(few.capacity(), few.size());
+}
+
+TEST(TopKItemsTest, NaNRanksAfterEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using P = std::pair<data::ItemId, double>;
+  EXPECT_TRUE(BetterRanked(P{9, -inf}, P{0, nan}));
+  EXPECT_FALSE(BetterRanked(P{0, nan}, P{9, -inf}));
+  EXPECT_TRUE(BetterRanked(P{1, nan}, P{2, nan}));  // NaN ties: id ascending
+  EXPECT_FALSE(BetterRanked(P{2, nan}, P{1, nan}));
+  EXPECT_FALSE(BetterRanked(P{1, nan}, P{1, nan}));  // irreflexive
+
+  // NaNs sprinkled through a tie-heavy catalog, ranked on both the
+  // nth_element path (k < n) and the full-sort path (k >= n), by both
+  // overloads.
+  std::vector<double> scores(203);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (i % 5 == 0) {
+      scores[i] = nan;
+    } else if (i % 7 == 0) {
+      scores[i] = -inf;
+    } else {
+      scores[i] = static_cast<double>(i % 4);
+    }
+  }
+  const auto everything = TopKItems(scores, static_cast<int>(scores.size()));
+  ASSERT_EQ(everything.size(), scores.size());
+  size_t first_nan = everything.size();
+  for (size_t i = 0; i < everything.size(); ++i) {
+    if (std::isnan(everything[i].second)) {
+      if (first_nan == everything.size()) first_nan = i;
+    } else {
+      EXPECT_EQ(first_nan, everything.size()) << "number after a NaN at " << i;
+    }
+    if (i > 0 && !BetterRanked(everything[i - 1], everything[i]))
+      ADD_FAILURE() << "out of order at " << i;
+  }
+  EXPECT_EQ(everything.size() - first_nan, 41u);  // ceil(203 / 5)
+  std::vector<data::ItemId> shuffled =
+      AllItems(static_cast<int>(scores.size()));
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::vector<double> shuffled_scores;
+  for (data::ItemId v : shuffled)
+    shuffled_scores.push_back(scores[static_cast<size_t>(v)]);
+  for (int k : {10, 170, 203, 500}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const auto cut = TopKItems(scores, k);
+    const auto subset = TopKItems(shuffled, shuffled_scores, k);
+    const size_t want = std::min<size_t>(scores.size(), static_cast<size_t>(k));
+    ASSERT_EQ(cut.size(), want);
+    ASSERT_EQ(subset.size(), want);
+    for (size_t i = 0; i < want; ++i) {
+      EXPECT_EQ(cut[i].first, everything[i].first);
+      EXPECT_EQ(subset[i].first, everything[i].first);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,31 @@ TEST(CheckpointTest, LoadRejectsDuplicateParameter) {
   const Status s = LoadParameters(layer.Parameters(), path);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("duplicate parameter"), std::string::npos);
+}
+
+TEST(CheckpointTest, NonFiniteParameterRejectedAndModelUntouched) {
+  // CRC-valid files holding a NaN or an infinity: the bytes are intact, the
+  // weights are not. The load must name the parameter and change nothing.
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(::testing::Message() << "poison=" << poison);
+    Rng rng(8);
+    Mlp diverged("m", {3, 4, 2}, &rng);
+    diverged.Parameters()[1].tensor->mutable_value().At(0, 2) = poison;
+    const std::string path = TempPath("ckpt_nonfinite.bin");
+    ASSERT_TRUE(SaveParameters(diverged.Parameters(), path).ok());
+
+    Mlp live("m", {3, 4, 2}, &rng);
+    const auto before = SnapshotValues(live.Parameters());
+    const Status s = LoadParameters(live.Parameters(), path);
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("non-finite"), std::string::npos)
+        << s.message();
+    EXPECT_NE(s.message().find(live.Parameters()[1].name), std::string::npos)
+        << s.message();
+    EXPECT_TRUE(ValuesEqual(live.Parameters(), before));
+  }
 }
 
 TEST(CheckpointTest, PartialParameterSetLeavesModelUntouched) {

@@ -11,9 +11,13 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "nn/checkpoint.h"
 #include "serve/harness.h"
 #include "serve_test_util.h"
 
@@ -223,6 +227,60 @@ TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
   const ServerStats stats = rig.server->stats();
   EXPECT_EQ(stats.reloads, 0);
   EXPECT_EQ(stats.failed_reloads, 1);
+}
+
+TEST_F(ServerTest, ReloadOfANonFiniteCheckpointKeepsTheOldGeneration) {
+  // A CRC-valid checkpoint holding a NaN weight (what a diverged run
+  // writes): the reload must fail at load, naming the parameter, and the
+  // old generation must keep answering exactly as before.
+  ServeConfig sc;
+  sc.workers = 2;
+  ServeRig rig(sc);
+  const std::string dir = ::testing::TempDir();
+  const std::string good = dir + "/serve_finite.ckpt";
+  const std::string poisoned = dir + "/serve_nan.ckpt";
+  ASSERT_TRUE(nn::SaveParameters(rig.oracle->Parameters(), good).ok());
+  auto diverged = rig.fixture.MakeModel(rig.config, ServeRig::kModelSeed);
+  const nn::ParamEntry victim = diverged->Parameters().front();
+  victim.tensor->mutable_value().At(0, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(nn::SaveParameters(diverged->Parameters(), poisoned).ok());
+
+  Server::ModelFactory factory =
+      [&rig](const std::string& path,
+             std::unique_ptr<core::GroupSaModel>* out) -> Status {
+    auto model = rig.fixture.MakeModel(rig.config, /*seed=*/99);
+    GROUPSA_RETURN_IF_ERROR(nn::LoadParameters(model->Parameters(), path));
+    *out = std::move(model);
+    return Status::Ok();
+  };
+  Server server(sc, std::move(factory), good, rig.fixture.ui.train,
+                rig.fixture.world.dataset.num_users,
+                rig.fixture.world.dataset.groups.num_groups(),
+                rig.fixture.world.dataset.num_items, &rig.fixture.ui_train,
+                &rig.fixture.gi_train);
+  ASSERT_TRUE(server.Start().ok());
+  Request request;
+  request.kind = Request::Kind::kUser;
+  request.user = 4;
+  request.k = 5;
+  const Response before = server.Call(request);
+  EXPECT_TRUE(BitIdenticalItems(before.items, rig.Direct(request)));
+
+  const Status s = server.Reload(poisoned);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("non-finite"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find(victim.name), std::string::npos) << s.message();
+  EXPECT_EQ(server.generation(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    const Response after = server.Call(request);
+    EXPECT_FALSE(after.degraded);
+    EXPECT_EQ(after.generation, 1u);
+    EXPECT_TRUE(BitIdenticalItems(after.items, before.items));
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().reloads, 0);
+  EXPECT_EQ(server.stats().failed_reloads, 1);
 }
 
 TEST_F(ServerTest, NullModelGenerationServesPopularityOnly) {

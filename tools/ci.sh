@@ -25,8 +25,9 @@
 #   quant         kernel-dispatch + int8 gates: backend parity suite, the
 #                 int8 ranking-quality/memory gates, cross-backend training
 #                 checkpoints byte-identical at 1 and 4 threads (every
-#                 runnable backend via GROUPSA_KERNEL_BACKEND), and the
-#                 quantized suites under ASan
+#                 runnable backend via GROUPSA_KERNEL_BACKEND), the
+#                 retrieval mode matrix under every backend, and the
+#                 quantized suites and the mode matrix under ASan
 #   chaos         resilience gates: the seeded chaos soak (byte-identical
 #                 transcripts at 1x1 vs 4x4 workers/threads, extended
 #                 conservation, breaker trip + recovery) and the resilience
@@ -336,11 +337,23 @@ lane_quant() {
   ensure_build build -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j "${JOBS}"
   # Backend bit-identity on every kernel in the dispatch table, the int8
-  # quantizer edge cases, and the int8 serving-path gates (HR@10/NDCG@10
+  # quantizer edge cases, the int8 serving-path gates (HR@10/NDCG@10
   # within 1% of exact, >= 3.5x rep-cache memory reduction, invalidation
-  # after optimizer steps, IVF composition).
+  # after optimizer steps, IVF composition) and the retrieval mode matrix
+  # (every mode bit-identical to the one below it).
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
-    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest'
+    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest|RetrievalMatrixTest'
+
+  local backends
+  backends="$(./build/tools/groupsa_cli kernels)"
+  echo "runnable backends: ${backends//$'\n'/ }"
+
+  echo "=== quant lane (retrieval mode matrix under every backend) ==="
+  local backend
+  for backend in ${backends}; do
+    GROUPSA_KERNEL_BACKEND="${backend}" ./build/tests/tests_retrieval_matrix \
+      --gtest_brief=1
+  done
 
   echo "=== quant lane (cross-backend training checkpoint parity) ==="
   # Train the tiny world end to end under each runnable backend (forced via
@@ -353,10 +366,7 @@ lane_quant() {
   TMP_DIRS+=("${quant_dir}")
   ./build/tools/groupsa_cli generate --out "${quant_dir}" --preset tiny \
     > /dev/null
-  local backends
-  backends="$(./build/tools/groupsa_cli kernels)"
-  echo "runnable backends: ${backends//$'\n'/ }"
-  local backend threads ckpt
+  local threads ckpt
   for threads in 1 4; do
     for backend in ${backends}; do
       ckpt="${quant_dir}/ckpt_${backend}_t${threads}.ckpt"
@@ -377,7 +387,7 @@ lane_quant() {
     -DGROUPSA_SANITIZE=address
   cmake --build build-asan -j "${JOBS}"
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest'
+    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest|RetrievalMatrixTest'
 }
 
 lane_chaos() {
