@@ -10,6 +10,7 @@
 // Flags: --items=N --groups=N --users=N --threads=N --k=N --quick
 //        --sweep       (catalog-size sweep: exact vs IVF retrieval, below)
 //        --json=path   (machine-readable result record, see tools/bench.sh)
+//        --git-sha=SHA (recorded in the JSON host fields with nproc)
 //
 // --sweep additionally runs the sublinear-retrieval sweep: for each catalog
 // size in {2k, 100k, 1M} it builds a fresh world + model, times the
@@ -20,15 +21,17 @@
 // answer against the exact ones, all single-thread. Results land in the
 // "sweep" array of the JSON record.
 //
-// Schema 3 also records the selected kernel backend and the int8 memory
-// story: bytes per cached user rep in the quantized cache vs the FP32 cost
-// of the same reps (the >= 3.5x gate from tests/core/int8_mode_test.cc).
+// Schema 3 also records the host (nproc, git sha, selected kernel backend)
+// and the int8 memory story: bytes per cached user rep in the quantized
+// cache vs the FP32 cost of the same reps (the >= 3.5x gate from
+// tests/core/int8_mode_test.cc).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -54,6 +57,7 @@ struct Flags {
   bool quick = false;
   bool sweep = false;
   std::string json;
+  std::string git_sha = "unknown";
 };
 
 bool ParseIntFlag(const char* arg, const char* name, int* out) {
@@ -73,6 +77,8 @@ Flags ParseFlags(int argc, char** argv) {
       f.sweep = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
+    } else if (std::strncmp(arg, "--git-sha=", 10) == 0) {
+      f.git_sha = arg + 10;
     } else if (!ParseIntFlag(arg, "--items", &f.items) &&
                !ParseIntFlag(arg, "--groups", &f.groups) &&
                !ParseIntFlag(arg, "--users", &f.users) &&
@@ -436,6 +442,8 @@ int main(int argc, char** argv) {
         "{\n"
         "  \"bench\": \"inference\",\n"
         "  \"schema\": 3,\n"
+        "  \"git_sha\": \"%s\",\n"
+        "  \"nproc\": %u,\n"
         "  \"backend\": \"%s\",\n"
         "  \"items\": %d,\n"
         "  \"groups\": %d,\n"
@@ -453,6 +461,7 @@ int main(int argc, char** argv) {
         "  \"fp32_bytes_per_user\": %.2f,\n"
         "  \"int8_memory_ratio\": %.3f,\n"
         "  \"bit_identical\": %s",
+        flags.git_sha.c_str(), std::thread::hardware_concurrency(),
         tensor::ActiveBackendName(), flags.items, flags.groups, flags.users,
         parallel::GlobalThreads(), group_per_item_s, group_batched_s,
         group_speedup, user_per_item_s, user_batched_s, user_speedup,

@@ -58,17 +58,22 @@ std::vector<double> RowSquaredNorms(const tensor::Matrix& m) {
 
 // Assigns every row of `vectors` to its nearest centroid (squared Euclidean,
 // ties to the lowest centroid id) via argmax_j(x·c_j - ||c_j||²/2). The
-// dots come from tensor::Gemm and the per-row argmax writes disjoint slots,
-// so the result is bit-identical at any thread count. `scratch`/`dots` are
-// caller-provided so Lloyd iterations reuse the same storage.
+// centroids are transposed once into a contiguous (dim x nlist) panel so the
+// dots run on the tiled no-transpose-b GEMM path; every dot is still the
+// k-ascending chain of x[k]·c_j[k] that a transpose-b product of the same
+// operands computes, so the assignments do not depend on the call shape (see
+// DESIGN.md §12 "Build kernel"). The per-row argmax writes disjoint slots, so
+// the result is bit-identical at any thread count. `panel`/`scratch`/`dots`
+// are caller-provided so Lloyd iterations reuse the same storage.
 void AssignNearest(const tensor::Matrix& vectors,
                    const tensor::Matrix& centroids,
                    const std::vector<double>& half_centroid_sqnorms,
-                   tensor::Matrix* scratch, tensor::Matrix* dots,
-                   std::vector<int>* assignments) {
+                   tensor::Matrix* panel, tensor::Matrix* scratch,
+                   tensor::Matrix* dots, std::vector<int>* assignments) {
   const int n = vectors.rows();
   const int nlist = centroids.rows();
   assignments->resize(static_cast<size_t>(n));
+  tensor::TransposeInto(centroids, panel);
   std::vector<int> chunk_ids;
   for (int begin = 0; begin < n; begin += kAssignChunkRows) {
     const int end = std::min(n, begin + kAssignChunkRows);
@@ -76,7 +81,7 @@ void AssignNearest(const tensor::Matrix& vectors,
     chunk_ids.resize(static_cast<size_t>(rows));
     for (int r = 0; r < rows; ++r) chunk_ids[static_cast<size_t>(r)] = begin + r;
     tensor::GatherRowsInto(vectors, chunk_ids, scratch);
-    tensor::Gemm(*scratch, false, centroids, /*transpose_b=*/true, 1.0f, dots);
+    tensor::Gemm(*scratch, false, *panel, /*transpose_b=*/false, 1.0f, dots);
     int* out = assignments->data() + begin;
     const tensor::Matrix& d = *dots;
     parallel::ParallelFor(0, rows, kArgmaxGrain, [&](int64_t r0, int64_t r1) {
@@ -102,14 +107,17 @@ void AssignNearest(const tensor::Matrix& vectors,
 // k-means++ D² seeding over the rows of `sample`: the first centroid is a
 // uniform draw, each subsequent one is drawn with probability proportional
 // to its squared distance from the nearest chosen centroid. Distances are
-// maintained incrementally with one (rows x 1) Gemm matvec per chosen
-// centroid. All draws come from the single `rng` stream in a fixed order,
-// so seeding is a pure function of (sample, nlist, rng state).
+// maintained incrementally with one (1 x rows) product chosen · sampleᵀ per
+// chosen centroid, against a sample transposed once so the product runs on
+// the tiled kernel (same dot chains as sample · chosenᵀ). All draws come
+// from the single `rng` stream in a fixed order, so seeding is a pure
+// function of (sample, nlist, rng state).
 tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
                              Rng* rng) {
   const int m = sample.rows();
   const int dim = sample.cols();
   const std::vector<double> sqnorms = RowSquaredNorms(sample);
+  const tensor::Matrix sample_t = tensor::Transpose(sample);
   tensor::Matrix centroids(nlist, dim);
   tensor::Matrix chosen(1, dim);
   tensor::Matrix dots;
@@ -120,12 +128,12 @@ tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
   for (int j = 1; j < nlist; ++j) {
     chosen.SetRow(0, centroids.RowPtr(j - 1));
     const double cnorm = RowSquaredNorms(chosen)[0];
-    tensor::Gemm(sample, false, chosen, /*transpose_b=*/true, 1.0f, &dots);
+    tensor::Gemm(chosen, false, sample_t, /*transpose_b=*/false, 1.0f, &dots);
+    const float* dot = dots.RowPtr(0);
     double total = 0.0;
     for (int i = 0; i < m; ++i) {
       const size_t si = static_cast<size_t>(i);
-      double dist = sqnorms[si] - 2.0 * static_cast<double>(dots.At(i, 0)) +
-                    cnorm;
+      double dist = sqnorms[si] - 2.0 * static_cast<double>(dot[i]) + cnorm;
       if (dist < 0.0) dist = 0.0;
       d2[si] = (j == 1) ? dist : std::min(d2[si], dist);
       total += d2[si];
@@ -204,14 +212,15 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
 
   index.centroids_ = SeedCentroids(*train, nlist, &rng);
 
+  tensor::Matrix panel;
   tensor::Matrix scratch;
   tensor::Matrix dots;
   std::vector<int> assign;
   std::vector<int> prev_assign;
   for (int iter = 0; iter < config.train_iters; ++iter) {
     AssignNearest(*train, index.centroids_,
-                  HalfSquaredNorms(index.centroids_), &scratch, &dots,
-                  &assign);
+                  HalfSquaredNorms(index.centroids_), &panel, &scratch,
+                  &dots, &assign);
     if (iter > 0 && assign == prev_assign) break;
     UpdateCentroids(*train, assign, &index.centroids_);
     prev_assign = assign;
@@ -219,7 +228,7 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
 
   // Final pass: assign the full catalog with the trained quantizer.
   AssignNearest(vectors, index.centroids_, HalfSquaredNorms(index.centroids_),
-                &scratch, &dots, &index.assignments_);
+                &panel, &scratch, &dots, &index.assignments_);
 
   // CSR inverted lists; filling in ascending item order keeps each list's
   // items ascending.

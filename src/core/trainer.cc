@@ -103,8 +103,10 @@ Trainer::EpochStats Trainer::RunShardedEpoch(int num_samples,
   start_loss_ = 0.0;
   start_losses_ = 0;
 
+  // Fit arms the guard per its options; direct Run*Epoch calls (no
+  // options) still skip a non-finite batch, but never abort or roll back.
   const FitOptions* opts = fit_options_;
-  const bool guard = opts != nullptr && opts->divergence_guard;
+  const bool guard = opts == nullptr || opts->divergence_guard;
   int consecutive_bad = 0;
   int skipped = 0;
 
@@ -193,7 +195,7 @@ Trainer::EpochStats Trainer::RunShardedEpoch(int num_samples,
     if (guard && (!std::isfinite(batch_loss) || !GradientsFinite())) {
       ++skipped;
       DropBatchGradients();
-      if (++consecutive_bad > opts->max_consecutive_bad) {
+      if (opts != nullptr && ++consecutive_bad > opts->max_consecutive_bad) {
         if (!opts->snapshot_path.empty()) {
           rollback_requested_ = true;
         } else {

@@ -57,6 +57,11 @@ class Trainer {
     int skipped_batches = 0;
   };
 
+  // Direct epoch calls (outside Fit) skip a batch whose loss or merged
+  // gradients are non-finite — gradients dropped, no optimizer step,
+  // counted in skipped_batches — but never abort or roll back; those are
+  // Fit's, driven by its FitOptions.
+  //
   // One pass over the user-item training edges (L_R).
   EpochStats RunUserEpoch();
   // One pass over the group-item training edges (L_G).
@@ -209,7 +214,8 @@ class Trainer {
   bool pooling_enabled_ = true;
 
   // Per-Fit context consumed by RunShardedEpoch (null outside Fit: direct
-  // Run*Epoch calls run the plain path with the guard off).
+  // Run*Epoch calls run a skip-only guard with no snapshots, abort or
+  // rollback).
   const FitOptions* fit_options_ = nullptr;
   int current_unit_ = 0;
   Rng::State unit_start_rng_{};

@@ -270,14 +270,7 @@ Status DecodeParameters(const std::vector<ParamEntry>& params,
     // A CRC only proves the bytes arrived as written; a diverged run can
     // write a NaN faithfully. Non-finite weights would serve silently wrong
     // (or undefined) rankings, so they are rejected like corruption.
-    for (int j = 0; j < value.size(); ++j) {
-      if (!std::isfinite(value.data()[j])) {
-        return Status::Error(StrFormat(
-            "non-finite value %g in parameter %s at (%d, %d)",
-            static_cast<double>(value.data()[j]), name.c_str(),
-            j / value.cols(), j % value.cols()));
-      }
-    }
+    GROUPSA_RETURN_IF_ERROR(CheckFinite(value, name));
     staged.push_back({it->second, std::move(value)});
   }
   if (staged.size() != params.size()) {
@@ -300,6 +293,18 @@ Status SaveParameters(const std::vector<ParamEntry>& params,
   CheckpointWriter writer;
   writer.AddSection("params", EncodeParameters(params));
   return writer.Commit(path).WithContext("save checkpoint " + path);
+}
+
+Status CheckFinite(const tensor::Matrix& value, const std::string& name) {
+  for (int j = 0; j < value.size(); ++j) {
+    if (!std::isfinite(value.data()[j])) {
+      return Status::Error(StrFormat(
+          "non-finite value %g in parameter %s at (%d, %d)",
+          static_cast<double>(value.data()[j]), name.c_str(),
+          j / value.cols(), j % value.cols()));
+    }
+  }
+  return Status::Ok();
 }
 
 Status LoadParameters(const std::vector<ParamEntry>& params,

@@ -79,6 +79,13 @@ std::string EncodeParameters(const std::vector<ParamEntry>& params);
 Status DecodeParameters(const std::vector<ParamEntry>& params,
                         const std::string& payload);
 
+// Ok when every element of `value` is finite; otherwise an error naming
+// parameter `name` and the first non-finite element's position. A CRC
+// only proves bytes arrived as written, so DecodeParameters runs this on
+// every record; the serving daemon runs it again on the tables a model
+// generation builds its retrieval state from.
+Status CheckFinite(const tensor::Matrix& value, const std::string& name);
+
 // Whole-model convenience wrappers over a single-"params"-section v2 file.
 Status SaveParameters(const std::vector<ParamEntry>& params,
                       const std::string& path);

@@ -6,6 +6,7 @@
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "core/inference_engine.h"
+#include "nn/checkpoint.h"
 
 namespace groupsa::serve {
 namespace {
@@ -24,6 +25,26 @@ std::vector<int32_t> ExcludeRows(const Request& request) {
                                   request.members.end());
   }
   return {};
+}
+
+// The IVF build's assignment is bit-stable only for finite rows and the
+// int8 quantizer's rounding is undefined on NaN, so a generation whose item
+// tables (the item embedding and, when the model has one, the item-space
+// latent table) hold a non-finite value is refused before either runs.
+// Checkpoint load already rejects such values; this catches a factory that
+// sets parameters in memory.
+Status CheckItemTablesFinite(core::GroupSaModel& model) {
+  std::vector<const ag::Tensor*> tables = {
+      model.item_embedding().table().get()};
+  const core::UserModeling* um = model.user_modeling();
+  if (um != nullptr && um->has_item_space())
+    tables.push_back(um->item_space()->table().get());
+  for (const nn::ParamEntry& p : model.Parameters()) {
+    if (std::find(tables.begin(), tables.end(), p.tensor.get()) !=
+        tables.end())
+      GROUPSA_RETURN_IF_ERROR(nn::CheckFinite(p.tensor->value(), p.name));
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -58,6 +79,10 @@ Status Server::BuildGeneration(const std::string& checkpoint_path,
   std::unique_ptr<core::GroupSaModel> model;
   GROUPSA_RETURN_IF_ERROR_CTX(factory_(checkpoint_path, &model),
                               "build model generation");
+  if (model != nullptr) {
+    GROUPSA_RETURN_IF_ERROR_CTX(CheckItemTablesFinite(*model),
+                                "build model generation");
+  }
   auto gen = std::make_shared<Generation>();
   core::InferenceEngine* engine =
       model != nullptr ? &model->inference() : nullptr;

@@ -1,5 +1,6 @@
 // ItemIndex / TopKMode::kIvf suite: quantizer structure, build determinism
-// across thread counts (race-labelled for the TSan lane), value-version
+// across thread counts and bit-identity with a transpose-b reference
+// k-means (race-labelled for the TSan lane), value-version
 // invalidation after real optimizer steps, the structural exact-parity
 // contract (nprobe = nlist bit-identical to kExact), empty/tiny catalogs,
 // and recall@10 against exact top-K on a seeded synthetic world.
@@ -23,6 +24,7 @@
 #include "core/test_fixtures.h"
 #include "core/topk.h"
 #include "core/trainer.h"
+#include "tensor/ops.h"
 
 namespace groupsa::core {
 namespace {
@@ -115,6 +117,164 @@ TEST(ItemIndexRaceTest, BuildIsBitIdenticalAcrossThreadCounts) {
     for (int c = 0; c < index.nlist(); ++c)
       ASSERT_EQ(index.ListSize(c), serial.ListSize(c));
   });
+}
+
+// Reference k-means for the bit-identity test below: the same draws, sums
+// and argmax as ItemIndex::Build, but every dot product taken as a
+// transpose-b GEMM (the kernel's scalar zero-skipping path) against the
+// untransposed operands, with the whole table assigned in one product.
+struct ReferenceKMeans {
+  tensor::Matrix centroids;
+  std::vector<int> assignments;
+};
+
+std::vector<double> RefRowSquaredNorms(const tensor::Matrix& m) {
+  std::vector<double> norms(static_cast<size_t>(m.rows()), 0.0);
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) {
+      const double v = static_cast<double>(m.At(r, c));
+      norms[static_cast<size_t>(r)] += v * v;
+    }
+  }
+  return norms;
+}
+
+std::vector<int> RefAssign(const tensor::Matrix& vectors,
+                           const tensor::Matrix& centroids) {
+  std::vector<double> half = RefRowSquaredNorms(centroids);
+  for (double& v : half) v *= 0.5;
+  tensor::Matrix dots;
+  tensor::Gemm(vectors, false, centroids, /*transpose_b=*/true, 1.0f, &dots);
+  std::vector<int> out(static_cast<size_t>(vectors.rows()));
+  for (int r = 0; r < vectors.rows(); ++r) {
+    int best = 0;
+    double best_score = static_cast<double>(dots.At(r, 0)) - half[0];
+    for (int j = 1; j < centroids.rows(); ++j) {
+      const double s = static_cast<double>(dots.At(r, j)) -
+                       half[static_cast<size_t>(j)];
+      if (s > best_score) {
+        best_score = s;
+        best = j;
+      }
+    }
+    out[static_cast<size_t>(r)] = best;
+  }
+  return out;
+}
+
+// `config` must name nlist and train_sample explicitly (no auto sizing).
+ReferenceKMeans RefBuild(const tensor::Matrix& vectors,
+                         const ItemIndexConfig& config) {
+  const int n = vectors.rows();
+  const int dim = vectors.cols();
+  Rng rng(Rng::StreamSeed(config.seed, 0));
+  tensor::Matrix sample = vectors;
+  if (config.train_sample < n) {
+    std::vector<int> ids = rng.SampleWithoutReplacement(n, config.train_sample);
+    std::sort(ids.begin(), ids.end());
+    tensor::GatherRowsInto(vectors, ids, &sample);
+  }
+  const int m = sample.rows();
+
+  // k-means++ seeding.
+  const std::vector<double> sqnorms = RefRowSquaredNorms(sample);
+  ReferenceKMeans ref;
+  ref.centroids = tensor::Matrix(config.nlist, dim);
+  tensor::Matrix chosen(1, dim);
+  tensor::Matrix dots;
+  std::vector<double> d2(static_cast<size_t>(m), 0.0);
+  int pick = rng.NextInt(m);
+  ref.centroids.SetRow(0, sample.RowPtr(pick));
+  for (int j = 1; j < config.nlist; ++j) {
+    chosen.SetRow(0, ref.centroids.RowPtr(j - 1));
+    const double cnorm = RefRowSquaredNorms(chosen)[0];
+    tensor::Gemm(sample, false, chosen, /*transpose_b=*/true, 1.0f, &dots);
+    double total = 0.0;
+    for (int i = 0; i < m; ++i) {
+      const size_t si = static_cast<size_t>(i);
+      double dist = sqnorms[si] - 2.0 * static_cast<double>(dots.At(i, 0)) +
+                    cnorm;
+      if (dist < 0.0) dist = 0.0;
+      d2[si] = (j == 1) ? dist : std::min(d2[si], dist);
+      total += d2[si];
+    }
+    pick = (total > 0.0) ? rng.NextWeighted(d2) : rng.NextInt(m);
+    ref.centroids.SetRow(j, sample.RowPtr(pick));
+  }
+
+  // Lloyd iterations with double-accumulated means.
+  std::vector<int> prev;
+  for (int iter = 0; iter < config.train_iters; ++iter) {
+    const std::vector<int> assign = RefAssign(sample, ref.centroids);
+    if (iter > 0 && assign == prev) break;
+    std::vector<double> sums(static_cast<size_t>(config.nlist) * dim, 0.0);
+    std::vector<int> counts(static_cast<size_t>(config.nlist), 0);
+    for (int i = 0; i < m; ++i) {
+      const int a = assign[static_cast<size_t>(i)];
+      for (int c = 0; c < dim; ++c)
+        sums[static_cast<size_t>(a) * dim + c] +=
+            static_cast<double>(sample.At(i, c));
+      ++counts[static_cast<size_t>(a)];
+    }
+    for (int j = 0; j < config.nlist; ++j) {
+      const int count = counts[static_cast<size_t>(j)];
+      if (count == 0) continue;
+      for (int c = 0; c < dim; ++c)
+        ref.centroids.At(j, c) = static_cast<float>(
+            sums[static_cast<size_t>(j) * dim + c] / count);
+    }
+    prev = assign;
+  }
+  ref.assignments = RefAssign(vectors, ref.centroids);
+  return ref;
+}
+
+// A Gaussian table with about a tenth of its entries exact +0.0f and a
+// tenth exact -0.0f, so the zero-skip of the transpose-b reference is taken
+// often and with both signs.
+tensor::Matrix SignedZeroTable(int rows, int cols, uint64_t seed) {
+  tensor::Matrix m = RandomTable(rows, cols, seed);
+  Rng rng(seed ^ 0x5A5AULL);
+  for (int i = 0; i < m.size(); ++i) {
+    const int draw = rng.NextInt(10);
+    if (draw == 0) m.data()[i] = 0.0f;
+    if (draw == 1) m.data()[i] = -0.0f;
+  }
+  return m;
+}
+
+TEST(ItemIndexRaceTest, BuildMatchesTransposeBReferenceBitForBit) {
+  // Rows above the 4,096-row assignment chunk; dims 13 and 32; nlist and
+  // sample widths that end the tiled kernel's column sweep on each of its
+  // tails: 40 = 32+8, 48 = 32+16, 50 = 32+18 (runtime width), 692 = 21*32+20
+  // (runtime width) for the assignment panel; samples 4104 = 128*32+8,
+  // 4112 = 128*32+16, 3000 and 4500 (runtime widths) for the seeding row.
+  struct Case {
+    int rows, dim, nlist, sample, iters;
+  };
+  const Case cases[] = {
+      {4500, 13, 40, 4104, 8},
+      {4112, 32, 48, 4112, 8},
+      {5000, 13, 50, 3000, 8},
+      {4500, 32, 692, 4500, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "rows=" << c.rows << " dim=" << c.dim
+                                      << " nlist=" << c.nlist);
+    const tensor::Matrix table =
+        SignedZeroTable(c.rows, c.dim, /*seed=*/c.rows + c.nlist);
+    ItemIndexConfig config;
+    config.nlist = c.nlist;
+    config.train_sample = c.sample;
+    config.train_iters = c.iters;
+    parallel::SetGlobalThreads(1);
+    const ReferenceKMeans ref = RefBuild(table, config);
+    AtThreads([&] {
+      const ItemIndex index = ItemIndex::Build(table, config);
+      EXPECT_TRUE(SameBits(index.centroids(), ref.centroids));
+      EXPECT_EQ(index.assignments(), ref.assignments);
+    });
+  }
 }
 
 TEST(ItemIndexTest, EmptyCatalogYieldsEmptyIndex) {

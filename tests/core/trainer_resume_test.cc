@@ -189,6 +189,27 @@ TEST_F(TrainerResumeTest, DivergentBatchIsSkippedAndRunCompletes) {
   EXPECT_EQ(report.group_epochs.size(), 2u);
 }
 
+TEST_F(TrainerResumeTest, DirectEpochCallSkipsANonFiniteBatch) {
+  // One batch covers the whole user epoch, so "unchanged by that batch" is
+  // "unchanged by the epoch".
+  GroupSaConfig config = FullScheduleConfig();
+  config.batch_size = 1 << 20;
+  TrainRun run(config);
+  const std::string before = run.Params();
+  failpoint::Arm("trainer.batch=corrupt@1");
+  const Trainer::EpochStats poisoned = run.trainer->RunUserEpoch();
+  EXPECT_EQ(poisoned.skipped_batches, 1);
+  EXPECT_EQ(poisoned.num_samples, 0);
+  EXPECT_EQ(run.Params(), before);
+
+  // The guard only drops the bad batch: the next (clean) epoch steps.
+  const Trainer::EpochStats clean = run.trainer->RunUserEpoch();
+  EXPECT_EQ(clean.skipped_batches, 0);
+  EXPECT_GT(clean.num_samples, 0);
+  EXPECT_TRUE(std::isfinite(clean.avg_loss));
+  EXPECT_NE(run.Params(), before);
+}
+
 TEST_F(TrainerResumeTest, GuardDisabledLetsNonFiniteLossThrough) {
   TrainRun run(GroupOnlyConfig(1));
   failpoint::Arm("trainer.batch=corrupt@1");

@@ -283,6 +283,83 @@ TEST_F(ServerTest, ReloadOfANonFiniteCheckpointKeepsTheOldGeneration) {
   EXPECT_EQ(server.stats().failed_reloads, 1);
 }
 
+TEST_F(ServerTest, NonFiniteItemTableFailsTheGenerationBuild) {
+  // A factory that loads a finite checkpoint and then sets a NaN in memory
+  // (which checkpoint load cannot see): the generation build must refuse it,
+  // naming the table, before the IVF build or the int8 quantizer runs, and
+  // the old generation must keep answering exactly as before.
+  ServeConfig sc;
+  sc.workers = 2;
+  sc.topk = core::TopKMode::kIvf;
+  sc.score = core::ScoreMode::kInt8;
+  ServeRig rig(sc);
+  const std::string good = ::testing::TempDir() + "/serve_table.ckpt";
+  ASSERT_TRUE(nn::SaveParameters(rig.oracle->Parameters(), good).ok());
+
+  std::string poison;  // name of the parameter to poison; empty = none
+  Server::ModelFactory factory =
+      [&rig, &poison](const std::string& path,
+                      std::unique_ptr<core::GroupSaModel>* out) -> Status {
+    auto model = rig.fixture.MakeModel(rig.config, /*seed=*/99);
+    GROUPSA_RETURN_IF_ERROR(nn::LoadParameters(model->Parameters(), path));
+    for (const nn::ParamEntry& p : model->Parameters()) {
+      if (p.name == poison)
+        p.tensor->mutable_value().At(1, 2) =
+            std::numeric_limits<float>::quiet_NaN();
+    }
+    *out = std::move(model);
+    return Status::Ok();
+  };
+  Server server(sc, std::move(factory), good, rig.fixture.ui.train,
+                rig.fixture.world.dataset.num_users,
+                rig.fixture.world.dataset.groups.num_groups(),
+                rig.fixture.world.dataset.num_items, &rig.fixture.ui_train,
+                &rig.fixture.gi_train);
+  ASSERT_TRUE(server.Start().ok());
+  Request request;
+  request.kind = Request::Kind::kMembers;
+  request.members = {1, 4};
+  request.k = 5;
+  const Response before = server.Call(request);
+  EXPECT_FALSE(before.degraded);
+  ASSERT_FALSE(before.items.empty());
+
+  // The item embedding, and the item-space latent table when the model
+  // has one of its own.
+  const core::UserModeling* um = rig.oracle->user_modeling();
+  std::vector<std::string> tables;
+  for (const nn::ParamEntry& p : rig.oracle->Parameters()) {
+    if (p.tensor == rig.oracle->item_embedding().table() ||
+        (um != nullptr && um->has_item_space() &&
+         p.tensor == um->item_space()->table()))
+      tables.push_back(p.name);
+  }
+  ASSERT_FALSE(tables.empty());
+  int64_t failed = 0;
+  for (const std::string& table : tables) {
+    SCOPED_TRACE(table);
+    poison = table;
+    const Status s = server.Reload(good);
+    ++failed;
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("non-finite"), std::string::npos)
+        << s.message();
+    EXPECT_NE(s.message().find(table), std::string::npos) << s.message();
+    EXPECT_EQ(server.generation(), 1u);
+    const Response after = server.Call(request);
+    EXPECT_FALSE(after.degraded);
+    EXPECT_EQ(after.generation, 1u);
+    EXPECT_TRUE(BitIdenticalItems(after.items, before.items));
+    EXPECT_EQ(server.stats().failed_reloads, failed);
+  }
+
+  poison.clear();
+  ASSERT_TRUE(server.Reload(good).ok());
+  EXPECT_EQ(server.generation(), 2u);
+  server.Stop();
+  EXPECT_EQ(server.stats().reloads, 1);
+}
+
 TEST_F(ServerTest, NullModelGenerationServesPopularityOnly) {
   ServeConfig sc;
   ServeRig rig(sc, /*factory_yields_null_model=*/true);

@@ -40,6 +40,7 @@ cmake --build build -j "$(nproc)" \
 if [ "${TARGET}" = "inference" ] || [ "${TARGET}" = "all" ]; then
   ./build/bench/bench_inference \
     --items=2000 --groups=20 --users=40 --threads=1 --sweep \
+    --git-sha="$(git describe --always --dirty 2>/dev/null || echo unknown)" \
     --json=BENCH_inference.json "$@"
   echo "wrote BENCH_inference.json"
 fi

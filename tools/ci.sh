@@ -20,8 +20,10 @@
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
 #                 from the last good checkpoint)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
-#                 kExact), recall@10 on the seeded world, and the full
-#                 ItemIndex suite under ASan
+#                 kExact), recall@10 on the seeded world, the ItemIndex
+#                 suite (build bit-identity vs a transpose-b reference)
+#                 under every runnable backend, and the full ItemIndex
+#                 suite under ASan
 #   quant         kernel-dispatch + int8 gates: backend parity suite, the
 #                 int8 ranking-quality/memory gates, cross-backend training
 #                 checkpoints byte-identical at 1 and 4 threads (every
@@ -324,6 +326,16 @@ lane_index() {
   # so a drop is a regression, not noise).
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
     -R 'RecallAtTenOnSeededWorld'
+  # Build bit-identity gate: the k-means build runs on the tiled GEMM path
+  # and must match a transpose-b reference bit for bit under every runnable
+  # kernel backend (the whole ItemIndex suite, at pool widths 1 and 4).
+  local backends backend
+  backends="$(./build/tools/groupsa_cli kernels)"
+  echo "runnable backends: ${backends//$'\n'/ }"
+  for backend in ${backends}; do
+    GROUPSA_KERNEL_BACKEND="${backend}" ./build/tests/tests_item_index \
+      --gtest_brief=1
+  done
   echo "=== index lane (ItemIndex suite under ASan) ==="
   ensure_build build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGROUPSA_SANITIZE=address
